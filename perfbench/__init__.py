@@ -1,0 +1,5 @@
+"""One benchmark for cube build, serving and refresh.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s>
+--trace <0|1>`` from the repository root; see ``perfbench/README.md``.
+"""
