@@ -1,10 +1,11 @@
 """A/B benchmark of the packed-key sort kernels against the argsort baseline.
 
-Two micro-benches isolate the kernels on the workloads they were built
+Micro-benches isolate the kernels on the workloads they were built
 for — ``radix`` on a large uniform-key sort, ``segmented`` on a
 shared-prefix re-sort (sorted source keys remapped to a target order
-sharing a 2-dim prefix) — and one end-to-end check builds the same cube
-under every forced kernel and asserts bit-identical views **and**
+sharing a 2-dim prefix) — and record what the ``auto`` rule makes of
+the uniform sort (its packed key·row sort).  One end-to-end check
+builds the same cube under every forced kernel and asserts bit-identical views **and**
 identical simulated metering (the kernels may only change host time).
 
 Writes ``BENCH_sort_kernels.json`` at the repository root.  Runnable
@@ -32,7 +33,6 @@ from repro.core.cube import build_data_cube
 from repro.data.generator import generate_dataset, paper_preset
 from repro.storage.sortkernels import (
     ENV_KERNEL,
-    calibration,
     set_default_kernel,
     sort_pairs,
 )
@@ -105,11 +105,13 @@ def run_micro(n: int | None = None, rounds: int | None = None) -> dict:
     keys = rng.integers(0, key_space, n, dtype=np.int64)
     values = rng.random(n)
     radix = _ab(keys, values, "radix", rounds, key_bound=key_space)
-    print(
-        f"  radix      n={n:>9,}  argsort {radix['argsort_seconds']:7.3f} s"
-        f"  radix {radix['kernel_seconds']:7.3f} s"
-        f"  -> {radix['speedup']:.2f}x"
-    )
+    auto = _ab(keys, values, "auto", rounds, key_bound=key_space)
+    for lane in (radix, auto):
+        print(
+            f"  {lane['kernel']:<10} n={n:>9,}  argsort "
+            f"{lane['argsort_seconds']:7.3f} s  {lane['kernel']} "
+            f"{lane['kernel_seconds']:7.3f} s  -> {lane['speedup']:.2f}x"
+        )
 
     # Segmented home turf: a shared-prefix re-sort.  Source rows sorted
     # under the old order stay clustered by the shared prefix after the
@@ -136,7 +138,7 @@ def run_micro(n: int | None = None, rounds: int | None = None) -> dict:
         f"  segmented {segmented['kernel_seconds']:7.3f} s"
         f"  -> {segmented['speedup']:.2f}x"
     )
-    return {"radix": radix, "segmented": segmented}
+    return {"radix": radix, "auto": auto, "segmented": segmented}
 
 
 def run_cube_equality(n: int | None = None) -> dict:
@@ -195,18 +197,12 @@ def run_cube_equality(n: int | None = None) -> dict:
 def run() -> dict:
     micro = run_micro()
     cube = run_cube_equality()
-    cal = calibration()
     report = {
         "bench": "sort_kernels",
         "quick": _quick(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "calibration": {
-            "argsort_sec_per_row_level": cal.argsort_sec_per_row_level,
-            "radix_sec_per_row_pass": cal.radix_sec_per_row_pass,
-            "radix_pass_overhead_sec": cal.radix_pass_overhead_sec,
-        },
         "targets": {"radix": RADIX_TARGET, "segmented": SEGMENTED_TARGET},
         "micro": micro,
         "cube_equality": cube,
@@ -222,11 +218,11 @@ def check_report(report: dict) -> None:
     Bit-identical outputs are asserted unconditionally (they were checked
     during the runs; re-checked here from the record).  The speedup
     targets are full-mode only: quick mode shrinks the inputs below the
-    regime the kernels are for (the cost model itself would pick argsort
-    there), so CI records the numbers without gating on them.
+    regime the kernels are for, so CI records the numbers without gating
+    on them.
     """
     assert report["cube_equality"]["bit_identical"]
-    for lane in ("radix", "segmented"):
+    for lane in ("radix", "auto", "segmented"):
         assert report["micro"][lane]["bit_identical"]
     if report["quick"]:
         print("  quick mode: speedup targets recorded, not asserted")

@@ -439,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
                          choices=("auto", "argsort", "radix", "segmented",
                                   "presorted"),
                          help="host sort kernel for packed-key sorts "
-                              "(auto = calibrated cost model; outputs and "
+                              "(auto = fixed per-call rule; outputs and "
                               "simulated metering are kernel-independent)")
     p_build.add_argument("--seed", type=int, default=0xC0FFEE)
     p_build.add_argument("--out", default=None, help="store directory")

@@ -92,8 +92,8 @@ class MachineSpec:
     #: the thread backend has always imposed.  ``False`` restores
     #: copy-on-decode.  Ignored by the thread backend.
     shm_zero_copy: bool = True
-    #: Host sort kernel used for every packed-key sort: ``"auto"`` (the
-    #: calibrated cost model picks per call), ``"argsort"``, ``"radix"``,
+    #: Host sort kernel used for every packed-key sort: ``"auto"`` (a
+    #: fixed per-call rule picks), ``"argsort"``, ``"radix"``,
     #: ``"segmented"`` or ``"presorted"`` — see
     #: :mod:`repro.storage.sortkernels`.  Kernels change *host* wall-clock
     #: only; outputs, ``charge_sort`` metering and disk-block accounting

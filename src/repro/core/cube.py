@@ -473,11 +473,11 @@ def _to_canonical_order(
     Keys stay unique (the piece was already aggregated), so no collapse is
     needed — only a packed-key remap plus the external sort, whose disk
     and CPU cost is precisely the local-tree penalty.  The remap reports
-    the shared-prefix length: the sort runs through the segmented kernel
-    on the prefix-clustering promise, and when the canonical order equals
-    the pipeline order up to an already-sorted remap the kernel's
-    single-pass presorted check skips the re-sort compute entirely
-    (metering is unchanged either way).
+    the shared-prefix length, which a forced ``segmented`` kernel uses
+    as its prefix-clustering promise; when the canonical order equals
+    the pipeline order up to an already-sorted remap the single-pass
+    presorted check skips the re-sort compute entirely (metering is
+    unchanged either way).
     """
     canon = data.view
     if tuple(data.order) == canon:

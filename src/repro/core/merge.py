@@ -44,7 +44,6 @@ broadcast.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -57,7 +56,9 @@ from repro.core.sampling import decimation_sample, estimate_range_count
 from repro.core.viewdata import ViewData
 from repro.core.views import View, is_prefix
 from repro.mpi.comm import Comm
-from repro.storage.scan import aggregate_sorted_keys, merge_sorted
+from repro.storage.scan import aggregate_sorted_keys, merge_runs
+# Unused here, but bound by name: perfbench/spans.py patches it.
+from repro.storage.scan import merge_sorted  # noqa: F401
 
 __all__ = ["MergeReport", "merge_partitions"]
 
@@ -380,19 +381,7 @@ def _batch_route(
         for j in range(p):
             rkeys, rmeas, _ = received[j]
             lo, hi = offsets[j][item], offsets[j][item + 1]
-            if hi > lo:
-                pieces.append((rkeys[lo:hi], rmeas[lo:hi]))
-        if pieces:
-            keys, measure = reduce(
-                lambda acc, piece: merge_sorted(
-                    acc[0], acc[1], piece[0], piece[1]
-                ),
-                pieces[1:],
-                pieces[0],
-            )
-            keys, measure = aggregate_sorted_keys(keys, measure, agg)
-        else:
-            keys = np.empty(0, dtype=np.int64)
-            measure = np.empty(0, dtype=np.float64)
+            pieces.append((rkeys[lo:hi], rmeas[lo:hi]))
+        keys, measure = aggregate_sorted_keys(*merge_runs(pieces), agg)
         out.append(ViewData(datas[item].order, keys, measure))
     return out

@@ -523,8 +523,8 @@ def _produce_sort(
     ``KeyCodec.remap`` projects + re-packs in pure int64 arithmetic (no
     ``(n, d)`` code materialisation) and reports the shared-prefix length
     with the parent order; the parent being sorted means the remapped
-    keys are clustered by that prefix, which the segmented sort kernel
-    exploits via ``seg_divisor``.
+    keys are clustered by that prefix, which a forced ``segmented`` sort
+    kernel exploits via ``seg_divisor``.
     """
     child_codec = codec_for_order(child_order, cardinalities)
     keys, shared = parent_codec.remap(parent.keys, parent_order, child_order)

@@ -23,7 +23,6 @@ as the paper's pipeline does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -31,7 +30,9 @@ from repro.mpi.comm import Comm
 from repro.mpi.speed import HeteroState, RankSpeedModel
 from repro.storage.disk import LocalDisk
 from repro.storage.external_sort import external_sort
-from repro.storage.scan import aggregate_sorted_keys, merge_sorted
+from repro.storage.scan import aggregate_sorted_keys, merge_runs
+# Unused here, but bound by name: perfbench/spans.py patches it.
+from repro.storage.scan import merge_sorted  # noqa: F401
 from repro.storage.sortkernels import sort_pairs
 
 __all__ = ["SortOutcome", "adaptive_sample_sort", "relative_imbalance"]
@@ -208,18 +209,8 @@ def adaptive_sample_sort(
     received = comm.alltoall(lanes)
 
     # Step 5: local p-way merge of the received sorted pieces.
-    pieces = [(rk, rm) for rk, rm in received if rk.shape[0]]
-    comm.disk.work.charge_scan(sum(rk.shape[0] for rk, _ in pieces))
-    if pieces:
-        keys, measure = reduce(
-            lambda acc, piece: merge_sorted(acc[0], acc[1], piece[0], piece[1]),
-            pieces[1:],
-            pieces[0],
-        )
-        keys = np.ascontiguousarray(keys)
-        measure = np.ascontiguousarray(measure)
-    else:
-        keys, measure = keys[:0], measure[:0]
+    comm.disk.work.charge_scan(sum(rk.shape[0] for rk, _ in received))
+    keys, measure = merge_runs(received)
 
     # Step 6: imbalance check (against uniform or speed-proportional
     # targets) and optional global shift.
@@ -320,29 +311,12 @@ def batched_sample_sort(
     # Step 5: per-item local merge; one allgather of all sizes.
     merged: list[tuple[np.ndarray, np.ndarray]] = []
     for item in range(n_items):
-        pieces = [
-            received[j][item]
-            for j in range(p)
-            if received[j][item][0].shape[0]
-        ]
+        pieces = [received[j][item] for j in range(p)]
         comm.disk.work.charge_scan(sum(k.shape[0] for k, _ in pieces))
-        if pieces:
-            keys, measure = reduce(
-                lambda acc, piece: merge_sorted(
-                    acc[0], acc[1], piece[0], piece[1]
-                ),
-                pieces[1:],
-                pieces[0],
-            )
-            keys = np.ascontiguousarray(keys)
-            measure = np.ascontiguousarray(measure)
-            if agg is not None:
-                keys, measure = aggregate_sorted_keys(keys, measure, agg)
-            merged.append((keys, measure))
-        else:
-            merged.append(
-                (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-            )
+        keys, measure = merge_runs(pieces)
+        if agg is not None:
+            keys, measure = aggregate_sorted_keys(keys, measure, agg)
+        merged.append((keys, measure))
     my_sizes = np.array([k.shape[0] for k, _ in merged], dtype=np.int64)
     all_sizes = np.vstack(comm.allgather(my_sizes))  # (p, n_items)
 

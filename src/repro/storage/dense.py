@@ -14,8 +14,7 @@ one of two ways:
   view live in ONE global sorted residue, so the existing fence-index +
   ``searchsorted`` machinery applies unchanged.
 
-The dense/sparse choice is a calibrated byte-cost comparison in the
-same style as the :mod:`repro.storage.sortkernels` cost model: storing
+The dense/sparse choice is a calibrated byte-cost comparison: storing
 a block dense costs ``8 + 1/8`` bytes per *cell* (value + mask bit),
 storing it sparse costs ``16`` bytes per *row* (key + measure), so
 dense wins exactly when

@@ -3,14 +3,22 @@
 These implement the "linear scan" primitive of the paper: given rows sorted
 by their group-by key, collapse equal-key runs while aggregating the measure.
 Everything is boundary-vector based (``keys[1:] != keys[:-1]`` +
-``np.ufunc.reduceat``) — no per-row Python.
+``np.ufunc.reduceat``) — no per-row Python.  :func:`merge_runs` is the
+k-way merge of sorted runs that feeds it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["aggregate_sorted_keys", "collapse_adjacent", "merge_sorted"]
+from repro.storage.sortkernels import sort_pairs
+
+__all__ = [
+    "aggregate_sorted_keys",
+    "collapse_adjacent",
+    "merge_runs",
+    "merge_sorted",
+]
 
 _REDUCERS = {
     "sum": np.add,
@@ -36,7 +44,7 @@ def aggregate_sorted_keys(
     Returns
     -------
     ``(unique_keys, aggregated_measure)`` with one row per distinct key,
-    keys still sorted.
+    keys still sorted, as new arrays.
     """
     keys = np.asarray(keys)
     measure = np.asarray(measure)
@@ -44,22 +52,24 @@ def aggregate_sorted_keys(
         raise ValueError(
             f"shape mismatch: keys {keys.shape} vs measure {measure.shape}"
         )
+    if agg != "count" and agg not in _REDUCERS:
+        raise ValueError(f"unsupported aggregate: {agg!r}")
     n = keys.shape[0]
     if n == 0:
         return keys[:0], measure[:0].astype(np.float64)
     starts = np.empty(n, dtype=bool)
     starts[0] = True
     np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    if starts.all():  # every key distinct: one-row groups, nothing to fold
+        if agg == "count":
+            return keys.copy(), np.ones(n, dtype=np.float64)
+        return keys.copy(), measure.copy()
     idx = np.flatnonzero(starts)
     out_keys = keys[idx]
     if agg == "count":
         lengths = np.diff(np.append(idx, n))
         return out_keys, lengths.astype(np.float64)
-    try:
-        reducer = _REDUCERS[agg]
-    except KeyError:
-        raise ValueError(f"unsupported aggregate: {agg!r}") from None
-    return out_keys, reducer.reduceat(measure, idx)
+    return out_keys, _REDUCERS[agg].reduceat(measure, idx)
 
 
 def collapse_adjacent(
@@ -97,3 +107,26 @@ def merge_sorted(
     out_vals[pos_a] = vals_a
     out_vals[pos_b] = vals_b
     return out_keys, out_vals
+
+
+def merge_runs(
+    pieces: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """k-way merge of one or more key-sorted ``(keys, values)`` runs, as
+    new arrays.
+
+    One concatenation in run order plus one stable sort, so equal keys
+    keep earlier runs first — the same rows, in the same order, as a
+    left fold of :func:`merge_sorted`, without its ``k - 1`` passes.
+    Runs that already follow each other in key order need no sort.
+    Otherwise the sort is ``argsort``: NumPy's stable sort of int64 is
+    a timsort, which finds the ``k`` input runs and gallops through
+    their merges, so a run that dominates the input (a view's boundary
+    slices around its owner's block) costs little more than the copy.
+    """
+    keys = np.concatenate([k for k, _ in pieces])
+    values = np.concatenate([v for _, v in pieces])
+    runs = [k for k, _ in pieces if k.shape[0]]
+    if all(a[-1] <= b[0] for a, b in zip(runs, runs[1:])):
+        return keys, values
+    return sort_pairs(keys, values, "argsort")

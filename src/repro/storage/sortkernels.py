@@ -1,4 +1,4 @@
-"""Adaptive sort-kernel engine for packed int64 keys.
+"""Stable sort kernels for packed int64 keys.
 
 Every hot CPU path of the reproduction — the sample-sort local sorts
 (Procedure 2), Pipesort sort-edge re-sorts, the merge's case-3 re-sorts
@@ -42,12 +42,23 @@ their ``charge_sort`` / disk-block metering unchanged, so the simulated
 cost model is kernel-independent by construction.  Kernels only change
 *host* wall-clock.
 
-Selection.  ``auto`` (the default) picks the cheapest applicable kernel
-per call from a one-shot calibrated cost model: the first ``auto``
-decision times a comparison sort and one radix digit pass on synthetic
-data and derives per-row constants; thereafter selection is pure
-arithmetic.  The choice is overridable globally — ``MachineSpec.
-sort_kernel`` / ``--sort-kernel`` set the process default, and the
+Selection.  ``auto`` (the default) is a fixed rule — no timing, no
+host calibration:
+
+1. already non-decreasing keys are copied (the ``presorted`` scan);
+2. keys below ``2^16`` take one ``radix`` counting pass (clustered
+   narrow keys, e.g. the served rollups of unmaterialised views);
+3. non-negative keys whose ``bits(max_key) + bits(n-1)`` fit a
+   non-negative int64 take the *packed* sort: each row becomes one
+   int64 ``key << b | row_index`` (``b = bits(n-1)``), one unstable
+   ``ndarray.sort`` (NumPy's SIMD sort) orders them, and
+   ``comp >> b`` / ``comp & (2^b - 1)`` read back the keys and the
+   permutation.  Row indices are unique, so equal keys keep their
+   input order — the stable order, bit for bit;
+4. wider keys take multi-pass ``radix``, negative keys ``argsort``.
+
+The choice is overridable globally — ``MachineSpec.sort_kernel`` /
+``--sort-kernel`` set the process default, and the
 ``REPRO_SORT_KERNEL`` environment variable (used by the CI kernel
 matrix) outranks everything, including per-call hints.
 """
@@ -55,16 +66,11 @@ matrix) outranks everything, including per-call hints.
 from __future__ import annotations
 
 import os
-import threading
-import time
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "KERNEL_NAMES",
-    "calibration",
-    "choose_kernel",
     "force_kernel",
     "get_default_kernel",
     "is_sorted_int64",
@@ -74,7 +80,7 @@ __all__ = [
 ]
 
 #: Valid kernel names (``MachineSpec.sort_kernel`` / ``--sort-kernel`` /
-#: ``REPRO_SORT_KERNEL``).  ``auto`` = per-call cost-model selection.
+#: ``REPRO_SORT_KERNEL``).  ``auto`` = the fixed per-call rule above.
 KERNEL_NAMES = ("auto", "argsort", "radix", "segmented", "presorted")
 
 #: Environment override consulted on every resolution (the CI kernel
@@ -86,11 +92,9 @@ ENV_KERNEL = "REPRO_SORT_KERNEL"
 DIGIT_BITS = 16
 _DIGIT_MASK = (1 << DIGIT_BITS) - 1
 
-#: Below this row count every kernel decision collapses to ``argsort``:
-#: the radix bucket table alone dwarfs the input.
-SMALL_N = 256
+#: Bits of a non-negative int64: the packed sort's width budget.
+_INT64_BITS = 63
 
-_lock = threading.Lock()
 _default_kernel = "auto"
 
 
@@ -255,10 +259,7 @@ def _segment_runs(
 
 
 def _segmented_pairs(
-    keys: np.ndarray,
-    values: np.ndarray,
-    seg_divisor: int,
-    runs: tuple[np.ndarray, np.ndarray, int] | None = None,
+    keys: np.ndarray, values: np.ndarray, seg_divisor: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sort each equal-prefix segment independently (composite radix).
 
@@ -268,8 +269,7 @@ def _segmented_pairs(
     key order, while the pass count shrinks from ``bits(prefix_cap·W)``
     to ``bits(nseg·W)`` — the win the shared prefix pays for.
     """
-    if runs is None:
-        runs = _segment_runs(keys, seg_divisor)
+    runs = _segment_runs(keys, seg_divisor)
     if runs is None:  # caller's sortedness promise does not hold
         return _radix_pairs(keys, values, None)
     high, seg, nseg = runs
@@ -281,102 +281,23 @@ def _segmented_pairs(
     return out[0], out[1]
 
 
-# ---------------------------------------------------------------------------
-# one-shot calibration + cost model
-# ---------------------------------------------------------------------------
+def _packed_pairs(
+    keys: np.ndarray, values: np.ndarray, index_bits: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One unstable sort of ``key << index_bits | row`` int64 words.
 
-
-@dataclass
-class Calibration:
-    """Measured per-row constants of the host (one-shot, lazily built)."""
-
-    #: Seconds per row per log2-level of a stable comparison argsort.
-    argsort_sec_per_row_level: float
-    #: Seconds per row of one radix digit pass (digit cast + counting
-    #: sort + two gathers).
-    radix_sec_per_row_pass: float
-    #: Fixed seconds per radix pass (bucket table setup).
-    radix_pass_overhead_sec: float
-
-    def argsort_cost(self, n: int) -> float:
-        return self.argsort_sec_per_row_level * n * max(np.log2(max(n, 2)), 1.0)
-
-    def radix_cost(self, n: int, passes: int) -> float:
-        return passes * (
-            self.radix_sec_per_row_pass * n + self.radix_pass_overhead_sec
-        )
-
-
-_calibration: Calibration | None = None
-
-
-def _measure(fn, *args, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn(*args)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def calibration() -> Calibration:
-    """The host calibration, measuring it on first use (thread-safe)."""
-    global _calibration
-    if _calibration is not None:
-        return _calibration
-    with _lock:
-        if _calibration is not None:
-            return _calibration
-        n = 1 << 15
-        rng = np.random.default_rng(0xC0DEC)
-        keys = rng.integers(0, 1 << 48, n, dtype=np.int64)
-        vals = rng.random(n)
-        t_arg = _measure(_argsort_pairs, keys, vals)
-        t_pass = _measure(_radix_permute, [keys, vals], keys, 1)
-        small = keys[: 1 << 10]
-        t_small = _measure(
-            _radix_permute, [small, vals[: 1 << 10]], small, 1
-        )
-        per_row = max(t_pass - t_small, 1e-9) / n  # constant term cancels
-        overhead = max(t_small - per_row * (1 << 10), 0.0)
-        _calibration = Calibration(
-            argsort_sec_per_row_level=max(t_arg, 1e-9)
-            / (n * float(np.log2(n))),
-            radix_sec_per_row_pass=per_row,
-            radix_pass_overhead_sec=overhead,
-        )
-        return _calibration
-
-
-def _passes(bound: int) -> int:
-    return max(1, -(-max(int(bound) - 1, 1).bit_length() // DIGIT_BITS))
-
-
-def choose_kernel(
-    n: int,
-    key_bound: int | None = None,
-    seg_bound: int | None = None,
-) -> str:
-    """Cost-model choice for ``auto`` (exposed for tests/benchmarks).
-
-    ``key_bound`` is an exclusive upper bound on the key values;
-    ``seg_bound`` the composite bound ``nseg·W`` of an applicable
-    segmented sort.  Presorted detection happens in :func:`sort_pairs`
-    before this is consulted.
+    The caller guarantees non-negative keys with ``bits(max_key) +
+    index_bits <= 63``.  Row indices make every word unique, so the
+    unstable (SIMD) sort yields exactly the stable key order; the low
+    bits are the permutation and the high bits the sorted keys.
     """
-    if n < SMALL_N:
-        return "argsort"
-    cal = calibration()
-    best_name, best_cost = "argsort", cal.argsort_cost(n)
-    if key_bound is not None and key_bound > 1:
-        cost = cal.radix_cost(n, _passes(key_bound))
-        if cost < best_cost:
-            best_name, best_cost = "radix", cost
-    if seg_bound is not None and seg_bound > 1:
-        cost = cal.radix_cost(n, _passes(seg_bound))
-        if cost < best_cost:
-            best_name, best_cost = "segmented", cost
-    return best_name
+    comp = keys.astype(np.int64)  # a fresh copy, shifted in place
+    comp <<= index_bits
+    comp |= np.arange(keys.shape[0], dtype=np.int64)
+    comp.sort()
+    order = comp & ((1 << index_bits) - 1)
+    comp >>= index_bits
+    return comp.astype(keys.dtype, copy=False), values[order]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +323,8 @@ def sort_pairs(
     necessarily non-negative) key values, e.g. ``KeyCodec.capacity``;
     ``seg_divisor`` is the suffix capacity ``W`` of a shared-prefix
     remap, promising rows are clustered into runs of equal ``key // W``
-    in non-decreasing order (verified before use).
+    in non-decreasing order (verified before use; only the
+    ``segmented`` kernel reads it).
     """
     keys = np.asarray(keys)
     values = np.asarray(values)
@@ -429,24 +351,18 @@ def sort_pairs(
             return _segmented_pairs(keys, values, int(seg_divisor))
         return _argsort_pairs(keys, values)
 
-    # ---- auto -----------------------------------------------------------
+    # ---- auto: a fixed rule, see the module docstring ------------------
     if is_sorted_int64(keys):  # presorted fast path (early-exit check)
         return keys.copy(), values.copy()
-    if n < SMALL_N:
+    if keys.dtype.kind not in "iu":
         return _argsort_pairs(keys, values)
-    seg_bound = None
-    runs = None
-    if seg_divisor is not None and seg_divisor >= 1:
-        runs = _segment_runs(keys, int(seg_divisor))
-        if runs is not None:
-            seg_bound = runs[2] * int(seg_divisor)
-    bound = key_bound
-    if bound is None:
-        lo = int(keys.min())
-        bound = None if lo < 0 else int(keys.max()) + 1
-    name = choose_kernel(n, key_bound=bound, seg_bound=seg_bound)
-    if name == "segmented":
-        return _segmented_pairs(keys, values, int(seg_divisor), runs)
-    if name == "radix":
-        return _radix_pairs(keys, values, bound)
-    return _argsort_pairs(keys, values)
+    if key_bound is None:
+        if int(keys.min()) < 0:
+            return _argsort_pairs(keys, values)
+        key_bound = int(keys.max()) + 1
+    if key_bound <= 1 << DIGIT_BITS:
+        return _radix_pairs(keys, values, key_bound)  # one counting pass
+    index_bits = (n - 1).bit_length()
+    if (int(key_bound) - 1).bit_length() + index_bits <= _INT64_BITS:
+        return _packed_pairs(keys, values, index_bits)
+    return _radix_pairs(keys, values, key_bound)

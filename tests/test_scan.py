@@ -1,11 +1,13 @@
 """Tests for repro.storage.scan: sorted-run aggregation and merging."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.storage.scan import aggregate_sorted_keys, merge_sorted
+from repro.storage.scan import aggregate_sorted_keys, merge_runs, merge_sorted
 
 
 class TestAggregateSortedKeys:
@@ -61,6 +63,22 @@ class TestAggregateSortedKeys:
                 np.zeros(1, dtype=np.int64), np.zeros(1), "median"
             )
 
+    @pytest.mark.parametrize("agg", ["sum", "min", "max", "count"])
+    @given(st.sets(st.integers(-(1 << 40), 1 << 40), max_size=60))
+    def test_all_distinct_fast_path_is_fresh(self, agg, raw):
+        """Distinct keys skip ``reduceat`` but still return new arrays,
+        equal to what the general path computes."""
+        keys = np.array(sorted(raw), dtype=np.int64)
+        vals = np.random.default_rng(len(raw)).random(len(raw))
+        k, v = aggregate_sorted_keys(keys, vals, agg)
+        want = np.ones(len(raw)) if agg == "count" else vals
+        np.testing.assert_array_equal(k, keys)
+        np.testing.assert_array_equal(v, want)
+        assert v.dtype == np.float64
+        if len(raw):
+            assert not np.shares_memory(k, keys)
+            assert not np.shares_memory(v, vals)
+
     @given(st.lists(st.integers(0, 10), max_size=60))
     def test_sum_preserved_property(self, raw):
         keys = np.sort(np.array(raw, dtype=np.int64))
@@ -112,3 +130,67 @@ class TestMergeSorted:
                 np.concatenate([va, vb]).tolist())
         )
         assert got == want
+
+
+def fold_merge_sorted(pieces):
+    """The left fold of pairwise merges that :func:`merge_runs` replaces."""
+    return reduce(
+        lambda acc, piece: merge_sorted(acc[0], acc[1], piece[0], piece[1]),
+        pieces[1:],
+        pieces[0],
+    )
+
+
+RUN_KEYS = st.one_of(
+    st.integers(0, 20),  # dense ties across runs
+    st.integers(0, 1 << 45),  # wide keys
+    st.integers(-(1 << 40), 1 << 40),  # negative keys
+)
+
+
+class TestMergeRuns:
+    @given(st.lists(st.lists(RUN_KEYS, max_size=40), min_size=1,
+                    max_size=6))
+    def test_equals_left_fold(self, runs):
+        """Same rows in the same order as the pairwise fold, including
+        cross-run ties (earlier runs first), empty runs and one run."""
+        pieces, offset = [], 0
+        for run in runs:
+            keys = np.sort(np.array(run, dtype=np.int64))
+            vals = np.arange(offset, offset + len(run), dtype=np.float64)
+            offset += len(run)
+            pieces.append((keys, vals))
+        want_k, want_v = fold_merge_sorted(pieces)
+        got_k, got_v = merge_runs(pieces)
+        np.testing.assert_array_equal(got_k, want_k)
+        np.testing.assert_array_equal(got_v, want_v)
+        assert got_k.dtype == want_k.dtype and got_v.dtype == want_v.dtype
+        for keys, vals in pieces:
+            assert not np.shares_memory(got_k, keys)
+            assert not np.shares_memory(got_v, vals)
+
+    def test_ties_keep_run_order(self):
+        pieces = [
+            (np.array([1, 5, 5], dtype=np.int64), np.array([0.0, 1.0, 2.0])),
+            (np.array([5, 9], dtype=np.int64), np.array([3.0, 4.0])),
+            (np.array([0, 5], dtype=np.int64), np.array([5.0, 6.0])),
+        ]
+        k, v = merge_runs(pieces)
+        assert k.tolist() == [0, 1, 5, 5, 5, 5, 9]
+        assert v.tolist() == [5.0, 0.0, 1.0, 2.0, 3.0, 6.0, 4.0]
+
+    @given(st.lists(st.lists(st.integers(0, 5), max_size=8), min_size=1,
+                    max_size=5))
+    def test_lined_up_runs_skip_the_sort(self, runs):
+        """Runs already in key order (ties at the seams included) come
+        back as their concatenation."""
+        pieces, base = [], 0
+        for run in runs:
+            keys = base + np.sort(np.array(run, dtype=np.int64))
+            base = int(keys[-1]) if len(run) else base
+            pieces.append((keys, np.arange(len(run), dtype=np.float64)))
+        k, v = merge_runs(pieces)
+        want_k, want_v = fold_merge_sorted(pieces)
+        np.testing.assert_array_equal(k, np.concatenate([p[0] for p in pieces]))
+        np.testing.assert_array_equal(k, want_k)
+        np.testing.assert_array_equal(v, want_v)

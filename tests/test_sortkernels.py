@@ -6,21 +6,24 @@ built under any forced kernel equals the auto-built cube bit for bit,
 with identical simulated metering.
 """
 
+import contextlib
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from repro.config import CubeConfig, MachineSpec
 from repro.core.cube import build_data_cube
 from repro.core.viewdata import codec_for_order
+from repro.storage import sortkernels
 from repro.storage.codec import KeyCodec
 from repro.storage.scan import aggregate_sorted_keys
 from repro.storage.sortkernels import (
     ENV_KERNEL,
     KERNEL_NAMES,
-    SMALL_N,
-    choose_kernel,
     force_kernel,
     get_default_kernel,
     is_sorted_int64,
@@ -213,6 +216,138 @@ def test_presorted_kernel_skips_and_falls_back():
 
 
 # ---------------------------------------------------------------------------
+# the fixed ``auto`` rule: every branch equals stable argsort bit for bit
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def auto_spies():
+    """Run ``auto`` unforced with its kernels spied: yields a function
+    naming the kernel the rule took (``"copy"`` when none ran)."""
+    names = ("_packed_pairs", "_radix_pairs", "_argsort_pairs")
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.dict(os.environ))
+        os.environ.pop(ENV_KERNEL, None)
+        stack.enter_context(force_kernel("auto"))
+        spies = {
+            name: stack.enter_context(
+                mock.patch.object(
+                    sortkernels, name, wraps=getattr(sortkernels, name)
+                )
+            )
+            for name in names
+        }
+        # The first spy in ``names`` order that ran is the rule's branch
+        # (radix may fall back to argsort internally, packed never does).
+        yield lambda: next(
+            (name for name in names if spies[name].called), "copy"
+        )
+
+
+def check_auto(keys, values, branch, **hints):
+    """``sort_pairs(auto)`` equals stable argsort, keeps dtypes, returns
+    fresh arrays and takes ``branch`` of the rule."""
+    want_k, want_v = baseline(keys, values)
+    with auto_spies() as taken:
+        got_k, got_v = sort_pairs(keys, values, **hints)
+        assert taken() == branch
+    assert got_k.dtype == keys.dtype and got_v.dtype == values.dtype
+    np.testing.assert_array_equal(got_k, want_k)
+    np.testing.assert_array_equal(got_v, want_v)
+    for got in (got_k, got_v):
+        assert not np.shares_memory(got, keys)
+        assert not np.shares_memory(got, values)
+
+
+KEY_DTYPES = st.sampled_from([np.int64, np.int32, np.uint32, np.uint64])
+VALUE_DTYPES = st.sampled_from([np.float64, np.float32, np.int64])
+
+
+def unsorted_pairs(draw, max_key, key_dtype=np.int64, min_size=2):
+    keys = np.asarray(
+        draw(st.lists(st.integers(0, max_key), min_size=min_size,
+                      max_size=300)),
+        dtype=key_dtype,
+    )
+    assume(not is_sorted_int64(keys))
+    values = np.arange(keys.shape[0]).astype(draw(VALUE_DTYPES))
+    return keys, values
+
+
+@given(st.data(), st.lists(st.integers(0, 1 << 40), max_size=300),
+       VALUE_DTYPES)
+def test_auto_presorted_copies(data, key_list, value_dtype):
+    keys = np.sort(np.asarray(key_list, dtype=np.int64))
+    values = np.arange(keys.shape[0]).astype(value_dtype)
+    check_auto(keys, values, "copy",
+               key_bound=data.draw(st.sampled_from([None, 1 << 41])))
+
+
+@given(st.data(), KEY_DTYPES)
+def test_auto_narrow_keys_take_one_radix_pass(data, key_dtype):
+    keys, values = unsorted_pairs(data.draw, (1 << 16) - 1, key_dtype)
+    hint = data.draw(st.sampled_from([None, 1 << 16]))
+    check_auto(keys, values, "_radix_pairs", key_bound=hint)
+
+
+@given(st.data(), KEY_DTYPES, st.integers(17, 31))
+def test_auto_wide_keys_take_packed_sort(data, key_dtype, bits):
+    keys, values = unsorted_pairs(data.draw, (1 << bits) - 1, key_dtype)
+    hint = data.draw(st.sampled_from([None, 1 << bits]))
+    assume(hint is not None or int(keys.max()) >= 1 << 16)
+    check_auto(keys, values, "_packed_pairs", key_bound=hint)
+
+
+@pytest.mark.parametrize("hinted", [True, False])
+@pytest.mark.parametrize("width, branch", [
+    (62, "_packed_pairs"), (63, "_packed_pairs"), (64, "_radix_pairs"),
+])
+@given(data=st.data())
+def test_auto_int64_width_boundary(data, width, branch, hinted):
+    """``bits(max_key) + bits(n-1)`` at 62 and 63 packs; at 64 the word
+    would overflow int64, so the rule falls through to radix."""
+    n = data.draw(st.integers(2, 300))
+    key_bits = width - (n - 1).bit_length()
+    top = (1 << key_bits) - 1
+    keys = np.asarray(
+        data.draw(st.lists(
+            st.one_of(st.integers(0, top), st.integers(top - 3, top)),
+            min_size=n, max_size=n,
+        )),
+        dtype=np.int64,
+    )
+    keys[data.draw(st.integers(0, n - 1))] = top  # max key has key_bits
+    assume(not is_sorted_int64(keys))
+    values = np.arange(n, dtype=np.float64)
+    hint = 1 << key_bits if hinted else None
+    check_auto(keys, values, branch, key_bound=hint)
+
+
+@given(st.data())
+def test_auto_negative_keys_take_argsort(data):
+    keys = np.asarray(
+        data.draw(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=2,
+                           max_size=300)),
+        dtype=np.int64,
+    )
+    assume(not is_sorted_int64(keys) and int(keys.min()) < 0)
+    check_auto(keys, np.arange(keys.shape[0], dtype=np.float64),
+               "_argsort_pairs")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("hint", [None, 1 << 40])
+def test_auto_tiny_and_all_equal(n, hint):
+    values = np.arange(n, dtype=np.float64)
+    check_auto(np.full(n, 9, dtype=np.int64), values, "copy", key_bound=hint)
+    if n == 2:
+        check_auto(np.array([1 << 39, 5], dtype=np.int64), values,
+                   "_packed_pairs", key_bound=hint)
+    check_auto(np.full(600, 1 << 39, dtype=np.int64),
+               np.arange(600, dtype=np.float64), "copy", key_bound=hint)
+
+
+# ---------------------------------------------------------------------------
 # selection plumbing
 # ---------------------------------------------------------------------------
 
@@ -254,24 +389,6 @@ class TestResolution:
         with pytest.raises(ValueError):
             MachineSpec(sort_kernel="bogus")
         assert MachineSpec(sort_kernel="radix").sort_kernel == "radix"
-
-
-class TestChooseKernel:
-    def test_tiny_input_is_argsort(self):
-        assert choose_kernel(SMALL_N - 1, key_bound=1 << 40) == "argsort"
-
-    def test_no_hints_is_argsort(self):
-        assert choose_kernel(1 << 20) == "argsort"
-
-    def test_narrow_bound_prefers_radix(self):
-        # One 16-bit pass vs 20 comparison levels: radix must win.
-        assert choose_kernel(1 << 20, key_bound=1 << 16) == "radix"
-
-    def test_segment_bound_beats_wide_radix(self):
-        got = choose_kernel(
-            1 << 20, key_bound=1 << 60, seg_bound=1 << 12
-        )
-        assert got == "segmented"
 
 
 def test_sort_pairs_rejects_mismatched_shapes():
