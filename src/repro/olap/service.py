@@ -66,6 +66,7 @@ from __future__ import annotations
 import builtins
 import heapq
 import multiprocessing as mp
+import multiprocessing.connection as mp_connection
 import os
 import queue as queue_mod
 import signal
@@ -402,7 +403,6 @@ class QueryService:
             else None
         )
         ctx = mp.get_context(start_method)
-        self._result_q = ctx.Queue()
         # One slot per worker advertising the generation it has pinned
         # (-1 until the worker opens the store); GC consults this so no
         # directory a live worker serves from is ever removed.
@@ -433,7 +433,9 @@ class QueryService:
         self.poisoned = 0
         self.corrupt_results = 0
 
-        def start_worker(slot, generation, task_q, ack_q, heartbeats):
+        def start_worker(
+            slot, generation, task_q, ack_q, result_q, heartbeats
+        ):
             return ctx.Process(
                 target=_worker_main,
                 args=(
@@ -442,7 +444,7 @@ class QueryService:
                     store_path,
                     self.index,
                     task_q,
-                    self._result_q,
+                    result_q,
                     ack_q,
                     heartbeats,
                     self.policy.heartbeat_interval,
@@ -548,23 +550,32 @@ class QueryService:
         self._dispatch()
 
     def _drain_results(self, budget: float) -> None:
-        """Collect every available worker result; the first receive may
-        block up to ``budget`` seconds."""
-        timeout = budget
-        while True:
-            try:
-                if timeout > 0:
-                    msg = self._result_q.get(timeout=timeout)
-                else:
-                    msg = self._result_q.get_nowait()
-            except queue_mod.Empty:
-                return
-            except (EOFError, OSError):  # pragma: no cover - torn pipe
-                # A worker SIGKILLed mid-send can tear the stream; the
-                # lost message is reconciled by the death path.
-                return
-            timeout = 0.0
-            self._on_result(msg)
+        """Collect every available worker result, waiting up to
+        ``budget`` seconds for the first.
+
+        Each worker generation has its own result queue
+        (:class:`~repro.olap.supervise.WorkerHandle`); one ``wait`` on
+        their pipe ends covers them all, as
+        ``concurrent.futures.ProcessPoolExecutor`` does."""
+        if self._sup is None:
+            return
+        readers = {
+            h.result_q._reader: h
+            for h in self._sup.slots
+            if h is not None and not h.retired
+        }
+        for reader in mp_connection.wait(list(readers), max(budget, 0.0)):
+            handle = readers[reader]
+            while not handle.retired:
+                try:
+                    msg = handle.result_q.get_nowait()
+                except queue_mod.Empty:
+                    break
+                except (EOFError, OSError):  # pragma: no cover - torn pipe
+                    # A worker SIGKILLed mid-send can tear its stream;
+                    # the lost message is reconciled by the death path.
+                    break
+                self._on_result(msg)
 
     def _on_result(self, msg) -> None:
         slot, generation, seq, attempt, store_gen, blob, crc, err = msg
@@ -1018,9 +1029,9 @@ class QueryService:
         # Anything any worker generation ever leaked.
         if self._sup is not None:
             sweep_orphans(self._sup.all_pids)
-        queues = [self._result_q]
+        queues = []
         for handle in live:
-            queues.extend([handle.task_q, handle.ack_q])
+            queues.extend([handle.task_q, handle.ack_q, handle.result_q])
         for q in queues:
             try:
                 q.close()

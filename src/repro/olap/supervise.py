@@ -196,6 +196,10 @@ class WorkerHandle:
     proc: object
     task_q: object
     ack_q: object
+    #: Per generation, never shared: a worker SIGKILLed while its feeder
+    #: thread holds a queue's write lock wedges only this queue, which
+    #: is retired with it.
+    result_q: object
     pid: int | None = None
     outstanding: dict[int, int] = field(default_factory=dict)
     retired: bool = False
@@ -207,12 +211,13 @@ class WorkerHandle:
 class ServiceSupervisor:
     """Spawns, watches, kills, and replaces serving workers.
 
-    ``start_worker(slot, generation, task_q, ack_q, heartbeats)`` must
-    return an *unstarted* process object; the supervisor starts it and
-    tracks its pid (every pid ever spawned is kept for the final shm
-    orphan sweep).  Detection (:meth:`check`) only *reports* failures —
-    acting on them (reassignment, retry, poison accounting) is the
-    service's job, so the supervisor stays reusable.
+    ``start_worker(slot, generation, task_q, ack_q, result_q,
+    heartbeats)`` must return an *unstarted* process object; the
+    supervisor starts it and tracks its pid (every pid ever spawned is
+    kept for the final shm orphan sweep).  Detection (:meth:`check`)
+    only *reports* failures — acting on them (reassignment, retry,
+    poison accounting) is the service's job, so the supervisor stays
+    reusable.
     """
 
     def __init__(
@@ -251,11 +256,12 @@ class ServiceSupervisor:
         self._generation[slot] += 1
         task_q = self._ctx.Queue()
         ack_q = self._ctx.Queue()
+        result_q = self._ctx.Queue()
         # A fresh worker gets a fresh heartbeat: it must not be born
         # already-suspect because the slot's previous tenant went silent.
         self.heartbeats[slot] = time.monotonic()
         proc = self._start_worker(
-            slot, generation, task_q, ack_q, self.heartbeats
+            slot, generation, task_q, ack_q, result_q, self.heartbeats
         )
         proc.start()
         handle = WorkerHandle(
@@ -264,6 +270,7 @@ class ServiceSupervisor:
             proc=proc,
             task_q=task_q,
             ack_q=ack_q,
+            result_q=result_q,
             pid=proc.pid,
         )
         if proc.pid is not None:
@@ -301,7 +308,7 @@ class ServiceSupervisor:
         handle.retired = True
         if self.slots[handle.slot] is handle:
             self.slots[handle.slot] = None
-        for q in (handle.task_q, handle.ack_q):
+        for q in (handle.task_q, handle.ack_q, handle.result_q):
             try:
                 q.close()
                 q.cancel_join_thread()

@@ -12,6 +12,7 @@ overload is shed explicitly, and nothing leaks in ``/dev/shm``.
 import importlib.util
 import os
 import pathlib
+import signal
 import time
 
 import numpy as np
@@ -155,6 +156,27 @@ class TestKillRecovery:
         assert stats["restarts"] == 1
         assert stats["retries"] >= 1
         assert stats["live_workers"] == 2  # replacement filled the slot
+
+    def test_death_holding_result_lock_does_not_wedge_pool(
+        self, store_path, inline
+    ):
+        # A worker SIGKILLed while its queue feeder thread is mid-send
+        # dies holding that queue's write lock.  Simulate exactly that:
+        # take worker 0's lock, then kill it.  The other worker and the
+        # replacement must still deliver every answer.
+        service = QueryService(store_path, workers=2, byte_budget=None)
+        try:
+            victim = service._sup.slots[0]
+            assert victim.result_q._wlock.acquire(timeout=5)
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.proc.join(5)
+            results = service.answer_many(WORKLOAD, timeout=60)
+            stats = service.stats()
+        finally:
+            service.close()
+        for query, got in zip(WORKLOAD, results):
+            assert_identical(got, inline[query], query)
+        assert stats["worker_deaths"] == 1
 
     def test_no_leaked_segments_after_kill(self, store_path):
         if not os.path.isdir("/dev/shm"):
