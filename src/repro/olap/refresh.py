@@ -35,12 +35,8 @@ block and never see a half-written store.
 
 from __future__ import annotations
 
-import json
-import os
-import shutil
 import time
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -53,15 +49,7 @@ from repro.core.viewdata import ViewData, codec_for_order
 from repro.core.views import View, canonical_view
 from repro.mpi.engine import run_spmd
 from repro.olap.hybrid import HybridView, merge_hybrid
-from repro.olap.index import DEFAULT_STRIDE, FenceIndex
-from repro.olap.store import (
-    CubeStore,
-    _MANIFEST,
-    _gen_name,
-    _view_file,
-    _view_stem,
-)
-from repro.storage.mmapio import write_npy
+from repro.olap.store import CubeStore, GenerationWriter, rebase_offsets
 from repro.storage.scan import aggregate_sorted_keys, merge_sorted
 from repro.storage.sortkernels import sort_pairs
 from repro.storage.table import Relation
@@ -117,8 +105,6 @@ def _to_canonical(data: ViewData, cards: tuple[int, ...]) -> ViewData:
     canon = data.view
     if tuple(data.order) == canon:
         return data
-    from repro.core.viewdata import codec_for_order
-
     codec = codec_for_order(data.order, cards)
     dims = codec.unpack(data.keys)
     col_of = {dim: pos for pos, dim in enumerate(data.order)}
@@ -258,16 +244,6 @@ class RefreshReport:
     metrics: RunResult | None = None  #: delta build metering
 
 
-def _link_file(src: str, dst: str, counts: dict) -> None:
-    """Hard-link ``src`` into the new generation (copy as fallback)."""
-    os.makedirs(os.path.dirname(dst), exist_ok=True)
-    try:
-        os.link(src, dst)
-    except OSError:
-        shutil.copy2(src, dst)
-    counts["linked"] += 1
-
-
 def _delta_run(
     delta_cube: CubeResult,
     view: View,
@@ -306,31 +282,6 @@ def _delta_run(
     return aggregate_sorted_keys(keys, vals, agg)
 
 
-def _merged_offsets(
-    old_keys: np.ndarray,
-    old_offsets: Sequence,
-    merged_keys: np.ndarray,
-    p: int,
-) -> list[int]:
-    """Rank offsets for the merged column, preserving the old rank
-    boundary *keys* so the reconstructed distributed cube keeps its
-    key-range partitioning (delta rows land in the rank that owns their
-    range)."""
-    n_old = int(old_keys.shape[0])
-    n_new = int(merged_keys.shape[0])
-    offsets = [0]
-    for rank in range(1, p):
-        o = int(old_offsets[rank])
-        if o >= n_old:
-            offsets.append(n_new)
-        else:
-            offsets.append(
-                int(np.searchsorted(merged_keys, int(old_keys[o]), "left"))
-            )
-    offsets.append(n_new)
-    return offsets
-
-
 def refresh_store(
     store_dir: str,
     delta: Relation,
@@ -351,8 +302,8 @@ def refresh_store(
     touches are hard-linked, not rewritten, so refresh cost scales
     with the delta.  The new generation becomes live via an atomic
     ``CURRENT`` pointer swap — readers of generation N are never
-    blocked and never see partial state.  Format-1 stores fall back to
-    an in-memory :func:`refresh_cube` + full save (no linking).
+    blocked and never see partial state.  A refresh that fails leaves
+    no staged directory behind and ``CURRENT`` untouched.
 
     Insert-only: see :func:`require_insert_maintainable`.  A store
     saved with an attribute-value reorder expects ``delta`` in
@@ -407,301 +358,75 @@ def refresh_store(
             merge_seconds=0.0,
         )
 
-    next_gen = cur_gen + 1
-    final_dir = os.path.join(store_dir, _gen_name(next_gen))
-    tmp_dir = os.path.join(
-        store_dir, f".{_gen_name(next_gen)}.tmp-{os.getpid()}"
-    )
-    if os.path.exists(tmp_dir):
-        shutil.rmtree(tmp_dir)
-
     spec = (spec or MachineSpec()).with_processors(p)
     delta_r = src.reorder.apply(delta) if src.reorder is not None else delta
-    counts = {"linked": 0, "written": 0}
-
-    if src.format == 1:
-        # Per-rank npz layout: no mmap columns to merge into — fall
-        # back to the in-memory refresh and save the result whole.
-        t0 = time.perf_counter()
-        refreshed = refresh_cube(src.cube, delta_r, spec, config)
-        t1 = time.perf_counter()
-        old_rows = sum(
-            data.nrows for rv in src.cube.rank_views for data in rv.values()
-        )
-        CubeStore._save_v1(refreshed, tmp_dir, src.reorder)
-        mpath = os.path.join(tmp_dir, _MANIFEST)
-        with open(mpath) as fh:
-            new_manifest = json.load(fh)
-        new_manifest["generation"] = next_gen
-        new_manifest["parent"] = cur_gen
-        new_manifest["refresh"] = {"delta_rows": int(delta.nrows)}
-        with open(mpath, "w") as fh:
-            json.dump(new_manifest, fh, indent=1)
-        report = RefreshReport(
-            root=store_dir,
-            generation=next_gen,
-            previous_generation=cur_gen,
-            path=final_dir,
-            delta_rows=int(delta.nrows),
-            rows_added=int(refreshed.metrics.output_rows) - old_rows,
-            views_merged=n_views,
-            views_linked=0,
-            blocks_promoted=0,
-            files_linked=0,
-            files_written=n_views * p,
-            delta_build_seconds=t1 - t0,
-            merge_seconds=time.perf_counter() - t1,
-            metrics=refreshed.metrics,
-        )
-        if os.path.exists(final_dir):
-            shutil.rmtree(final_dir)  # orphan of a crashed refresh
-        os.rename(tmp_dir, final_dir)
-        CubeStore.set_current(store_dir, next_gen)
-        if gc:
-            CubeStore.gc_generations(store_dir)
-        return report
-
     t0 = time.perf_counter()
     delta_cube = build_data_cube(delta_r, cards, spec, config)
     t1 = time.perf_counter()
 
-    stride = int(manifest.get("fence_stride") or DEFAULT_STRIDE)
     dthr = manifest.get("density_threshold")
-    os.makedirs(os.path.join(tmp_dir, "views"), exist_ok=True)
-    src_views = os.path.join(src.path, "views")
-    dst_views = os.path.join(tmp_dir, "views")
     entries = []
     views_merged = views_linked = promoted = rows_added = 0
-
-    for entry in manifest["views"]:
-        view = canonical_view(entry["dims"])
-        layout_kind = entry.get("layout")
-        new_entry = dict(entry)
-        stem = _view_stem(view)
-
-        if layout_kind == "sorted":
+    with GenerationWriter(src) as gen:
+        for entry in manifest["views"]:
+            view = canonical_view(entry["dims"])
             order = tuple(entry["order"])
             dk, dv = _delta_run(delta_cube, view, order, cards, internal)
             if dk.shape[0] == 0:
-                for suffix in (".keys.npy", ".measure.npy"):
-                    _link_file(
-                        os.path.join(src_views, stem + suffix),
-                        os.path.join(dst_views, stem + suffix),
-                        counts,
-                    )
+                gen.link(src.path, view)
+                entries.append(entry)
                 views_linked += 1
-            else:
-                sv = src.sorted_views[view]
-                old_keys = sv._keys.array
-                mk, mv = merge_sorted(old_keys, sv._measure.array, dk, dv)
+                continue
+            old = src.sorted_views[view]
+            if entry["layout"] == "sorted":
+                mk, mv = merge_sorted(
+                    old._keys.array, old._measure.array, dk, dv
+                )
                 mk, mv = aggregate_sorted_keys(mk, mv, internal)
-                write_npy(os.path.join(dst_views, stem + ".keys.npy"), mk)
-                write_npy(
-                    os.path.join(dst_views, stem + ".measure.npy"), mv
+                offsets = rebase_offsets(
+                    old, entry["rank_offsets"], mk.shape[0],
+                    lambda key: np.searchsorted(mk, key, "left"),
                 )
-                counts["written"] += 2
-                new_entry.update(
-                    rows=int(mk.shape[0]),
-                    rank_offsets=_merged_offsets(
-                        old_keys, entry["rank_offsets"], mk, p
-                    ),
-                    fence=FenceIndex.build(mk, stride).to_manifest(),
+                entries.append(
+                    gen.write_sorted(view, order, mk, mv, offsets)
                 )
-                rows_added += int(mk.shape[0]) - int(old_keys.shape[0])
-                views_merged += 1
-
-        elif layout_kind == "hybrid":
-            order = tuple(entry["order"])
-            dk, dv = _delta_run(delta_cube, view, order, cards, internal)
-            hybrid_files = [".sparse.keys.npy", ".sparse.measure.npy"]
-            dense_files = [".dense.values.npy", ".dense.mask.npy"]
-            if dk.shape[0] == 0:
-                for suffix in hybrid_files + dense_files:
-                    fp = os.path.join(src_views, stem + suffix)
-                    if os.path.exists(fp):
-                        _link_file(
-                            fp, os.path.join(dst_views, stem + suffix),
-                            counts,
-                        )
-                views_linked += 1
+                rows_added += int(mk.shape[0]) - old.nrows
             else:
-                hv = src.sorted_views[view]
-                new_layout, stats = merge_hybrid(
-                    hv, dk, dv, agg=internal, threshold=dthr
+                layout, stats = merge_hybrid(
+                    old, dk, dv, agg=internal, threshold=dthr
+                )
+                new = HybridView.from_layout(order, layout)
+                offsets = rebase_offsets(
+                    old, entry["rank_offsets"], layout.nrows,
+                    lambda key: new._locate(key, "left"),
+                )
+                keep = [
+                    part
+                    for part in ("sparse", "dense")
+                    if not stats[f"{part}_changed"]
+                ]
+                entries.append(
+                    gen.write_hybrid(
+                        view, order, layout, offsets, keep, src.path
+                    )
                 )
                 promoted += stats["promoted"]
-                if stats["sparse_changed"]:
-                    write_npy(
-                        os.path.join(dst_views, stem + ".sparse.keys.npy"),
-                        new_layout.sparse_keys,
-                    )
-                    write_npy(
-                        os.path.join(
-                            dst_views, stem + ".sparse.measure.npy"
-                        ),
-                        new_layout.sparse_measure,
-                    )
-                    counts["written"] += 2
-                    fence = FenceIndex.build(
-                        new_layout.sparse_keys, stride
-                    ).to_manifest()
-                else:
-                    for suffix in hybrid_files:
-                        _link_file(
-                            os.path.join(src_views, stem + suffix),
-                            os.path.join(dst_views, stem + suffix),
-                            counts,
-                        )
-                    fence = entry["fence"]
-                if stats["dense_changed"]:
-                    if new_layout.dense_values.size:
-                        write_npy(
-                            os.path.join(
-                                dst_views, stem + ".dense.values.npy"
-                            ),
-                            new_layout.dense_values,
-                        )
-                        counts["written"] += 1
-                    if new_layout.dense_mask.size:
-                        write_npy(
-                            os.path.join(
-                                dst_views, stem + ".dense.mask.npy"
-                            ),
-                            new_layout.dense_mask,
-                        )
-                        counts["written"] += 1
-                else:
-                    for suffix in dense_files:
-                        fp = os.path.join(src_views, stem + suffix)
-                        if os.path.exists(fp):
-                            _link_file(
-                                fp,
-                                os.path.join(dst_views, stem + suffix),
-                                counts,
-                            )
-                nv = HybridView.from_layout(order, new_layout)
-                old_off = entry["rank_offsets"]
-                offsets = [0]
-                for rank in range(1, p):
-                    o = int(old_off[rank])
-                    if o >= hv.nrows:
-                        offsets.append(int(new_layout.nrows))
-                    else:
-                        bkey = int(hv.read(o, o + 1)[0][0])
-                        offsets.append(int(nv._locate(bkey, "left")))
-                offsets.append(int(new_layout.nrows))
-                new_entry.update(
-                    rows=int(new_layout.nrows),
-                    rank_offsets=offsets,
-                    capacity=int(new_layout.capacity),
-                    sparse_rows=new_layout.n_sparse_rows,
-                    dense=[
-                        [
-                            int(new_layout.dense_blocks[i]),
-                            int(new_layout.dense_rows[i]),
-                            int(new_layout.dense_full[i]),
-                            int(new_layout.sparse_before[i]),
-                        ]
-                        for i in range(new_layout.dense_blocks.shape[0])
-                    ],
-                    fence=fence,
-                )
                 rows_added += stats["rows_added"]
-                views_merged += 1
-
-        else:
-            # Degenerate per-rank ("ranked") view: normalise to one
-            # sorted column pair while we're rewriting anyway — the
-            # refreshed generation serves it through the index path.
-            dk, dv = _delta_run(delta_cube, view, view, cards, internal)
-            if dk.shape[0] == 0:
-                for rank in range(p):
-                    _link_file(
-                        os.path.join(
-                            src.path, f"rank{rank:02d}", _view_file(view)
-                        ),
-                        os.path.join(
-                            tmp_dir, f"rank{rank:02d}", _view_file(view)
-                        ),
-                        counts,
-                    )
-                views_linked += 1
-            else:
-                pieces = []
-                for rank in range(p):
-                    fp = os.path.join(
-                        src.path, f"rank{rank:02d}", _view_file(view)
-                    )
-                    with np.load(fp) as npz:
-                        pieces.append(
-                            _to_canonical(
-                                ViewData(
-                                    tuple(entry["orders"][rank]),
-                                    npz["keys"],
-                                    npz["measure"],
-                                ),
-                                cards,
-                            )
-                        )
-                codec = codec_for_order(view, cards)
-                mk, mv = sort_pairs(
-                    np.concatenate([pc.keys for pc in pieces]),
-                    np.concatenate([pc.measure for pc in pieces]),
-                    key_bound=int(codec.capacity),
-                )
-                mk, mv = aggregate_sorted_keys(mk, mv, internal)
-                mk, mv = merge_sorted(mk, mv, dk, dv)
-                mk, mv = aggregate_sorted_keys(mk, mv, internal)
-                write_npy(os.path.join(dst_views, stem + ".keys.npy"), mk)
-                write_npy(
-                    os.path.join(dst_views, stem + ".measure.npy"), mv
-                )
-                counts["written"] += 2
-                n_new = int(mk.shape[0])
-                new_entry = {
-                    "dims": list(entry["dims"]),
-                    "name": entry["name"],
-                    "rows": n_new,
-                    "layout": "sorted",
-                    "order": list(view),
-                    "rank_offsets": [
-                        round(rank * n_new / p) for rank in range(p + 1)
-                    ],
-                    "fence": FenceIndex.build(mk, stride).to_manifest(),
-                }
-                rows_added += n_new - int(entry["rows"])
-                views_merged += 1
-
-        entries.append(new_entry)
-
-    new_manifest = {k: v for k, v in manifest.items() if k != "views"}
-    new_manifest["views"] = entries
-    new_manifest["generation"] = next_gen
-    new_manifest["parent"] = cur_gen
-    new_manifest["refresh"] = {"delta_rows": int(delta.nrows)}
-    with open(os.path.join(tmp_dir, _MANIFEST), "w") as fh:
-        json.dump(new_manifest, fh, indent=1)
-    counts["written"] += 1
-
-    if os.path.exists(final_dir):
-        shutil.rmtree(final_dir)  # orphan of a crashed refresh
-    os.rename(tmp_dir, final_dir)
-    CubeStore.set_current(store_dir, next_gen)
-    if gc:
-        CubeStore.gc_generations(store_dir)
+            views_merged += 1
+        gen.commit(entries, delta.nrows, gc=gc)
 
     return RefreshReport(
         root=store_dir,
-        generation=next_gen,
+        generation=gen.generation,
         previous_generation=cur_gen,
-        path=final_dir,
+        path=gen.final_path,
         delta_rows=int(delta.nrows),
         rows_added=int(rows_added),
         views_merged=views_merged,
         views_linked=views_linked,
         blocks_promoted=promoted,
-        files_linked=counts["linked"],
-        files_written=counts["written"],
+        files_linked=gen.linked,
+        files_written=gen.written,
         delta_build_seconds=t1 - t0,
         merge_seconds=time.perf_counter() - t1,
         metrics=delta_cube.metrics,

@@ -1,37 +1,21 @@
 """Persist a constructed cube to disk and reopen it for querying.
 
-Two on-disk formats share one manifest schema:
+Procedure 1 leaves every view split by key range: the rank pieces of a
+view share one sort order and concatenate (rank 0 first) into a
+globally sorted, key-disjoint array.  The store is built on that
+invariant.  It keeps each view's concatenation once, plus the rank
+boundaries as offsets, in one of two layouts that share a manifest
+schema.
 
-**Format 1** (the seed layout, still fully readable and writable)::
+**Format 2** (sorted, the default) stores each view as raw contiguous
+``.npy`` columns of packed int64 keys plus the parallel measure::
 
-    <path>/manifest.json          cardinalities, aggregate, p, view index
-    <path>/rank00/v_<name>.npz    keys + measure of rank 0's piece
-    <path>/rank01/...
-
-**Format 2** (the serving layout, default) lays each view out as raw
-contiguous ``.npy`` columns of *globally sorted* packed int64 keys plus
-the parallel measure::
-
-    <path>/manifest.json          + per-view order, rank offsets, fence
+    <path>/manifest.json          cardinalities, aggregate, p, and per
+                                  view: order, rank offsets, fence
     <path>/views/v_<name>.keys.npy
     <path>/views/v_<name>.measure.npy
 
-After every build mode in this repository, a view's per-rank pieces
-share one sort order and concatenate (rank 0 first) into a globally
-sorted, key-disjoint array — the γ-balanced sample-sort merge guarantees
-key-range partitioning — so format 2 stores that concatenation once and
-keeps the rank boundaries as offsets: :meth:`CubeStore.load` rebuilds
-the exact distributed cube as zero-copy slices of the memory-mapped
-columns, while :meth:`CubeStore.open` hands the serving tier
-:class:`~repro.olap.index.SortedView` handles whose fence index (every
-Nth key, persisted in the manifest) lets a reader touch only the pages
-a query needs.  A view that violates the sorted-concatenation invariant
-(none of the shipped builders produce one, but the format stays honest)
-falls back to per-rank ``ranked`` storage inside the same format-2
-manifest and serves through the scan path.
-
-**Format 3** (hybrid) keeps format 2's manifest schema and global sort
-invariant but stores each eligible view as dense blocks + a sparse
+**Format 3** (hybrid) stores each view as dense blocks plus a sparse
 residue (:mod:`repro.storage.dense`)::
 
     <path>/views/v_<name>.sparse.keys.npy     sorted sparse residue
@@ -41,13 +25,20 @@ residue (:mod:`repro.storage.dense`)::
 
 The manifest lists only the dense blocks (id, rows, full-flag, sparse
 rows before the block), so logical-row arithmetic is O(1) per block and
-the fence index covers just the sparse residue.  Readers get
-:class:`~repro.olap.hybrid.HybridView` handles with the same API as
-:class:`SortedView`; ``CubeStore.load`` re-expands the blocks into the
-exact distributed cube.  A store saved with an attribute-value reorder
+the fence index covers just the sparse residue.  Either file is omitted
+when no block needs it.
+
+:meth:`CubeStore.load` rebuilds the exact distributed cube: format-2
+rank pieces are zero-copy slices of the memory-mapped columns, format-3
+blocks are re-expanded.  :meth:`CubeStore.open` hands the serving tier
+:class:`~repro.olap.index.SortedView` or
+:class:`~repro.olap.hybrid.HybridView` handles whose fence index (every
+Nth key, persisted in the manifest) lets a reader touch only the pages
+a query needs.  Saving a cube that breaks the invariant raises
+``ValueError``.  A store saved with an attribute-value reorder
 (:mod:`repro.storage.reorder`) records the permutations under the
-manifest's ``reorder`` key — any format — and ``query_engine()``
-transparently translates queries back to original attribute values.
+manifest's ``reorder`` key, and ``query_engine()`` translates queries
+back to original attribute values.
 
 **Generations** (incremental refresh).  A store directory may hold a
 *sequence* of immutable snapshots instead of one flat layout::
@@ -57,17 +48,20 @@ transparently translates queries back to original attribute values.
     <path>/gen-000001/manifest.json + views/ ...
     <path>/gen-000002/...
 
-Each generation is a complete, self-contained format-1/2/3 store;
-:func:`~repro.olap.refresh.refresh_store` creates the next one by
-merging a delta into its predecessor, hard-linking every untouched
-view file so a generation costs only the bytes its delta touched.  A
-flat store (no ``CURRENT``) is implicitly generation 0 and is never
-garbage-collected — the first refresh leaves it in place as the seed
-snapshot and writes ``gen-000001`` next to it.  ``CURRENT`` is swapped
-with ``os.replace`` (write temp + rename), so a reader either sees the
-old pointer or the new one, never a torn state; readers that already
-hold a generation open keep serving it (their mmaps pin the inodes)
-even after :meth:`CubeStore.gc_generations` unlinks the directory.
+Each generation is a complete, self-contained format-2/3 store;
+:func:`~repro.olap.refresh.refresh_store` creates the next one through a
+:class:`GenerationWriter`, merging a delta into its predecessor and
+hard-linking every untouched view file so a generation costs only the
+bytes its delta touched.  A flat store (no ``CURRENT``) is implicitly
+generation 0 and is never garbage-collected — the first refresh leaves
+it in place as the seed snapshot and writes ``gen-000001`` next to it.
+``CURRENT`` is swapped with ``os.replace`` (write temp + rename), so a
+reader either sees the old pointer or the new one, never a torn state;
+readers that already hold a generation open keep serving it (their
+mmaps pin the inodes) even after :meth:`CubeStore.gc_generations`
+unlinks the directory.
+
+This module is the only one that names store files or writes them.
 """
 
 from __future__ import annotations
@@ -75,7 +69,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -85,24 +79,33 @@ from repro.core.viewdata import ViewData, codec_for_order
 from repro.core.views import View, canonical_view, view_name
 from repro.olap.hybrid import HybridView
 from repro.olap.index import DEFAULT_STRIDE, FenceIndex, SortedView
-from repro.storage.dense import DEFAULT_BLOCK_CELLS, build_hybrid
+from repro.storage.dense import DEFAULT_BLOCK_CELLS, HybridLayout, build_hybrid
 from repro.storage.mmapio import MappedColumn, MmapMeter, write_npy
 from repro.storage.reorder import ValueReorder
 from repro.storage.sortkernels import is_sorted_int64
 
-__all__ = ["CubeStore", "OpenCube"]
+__all__ = [
+    "CubeStore",
+    "GenerationWriter",
+    "OpenCube",
+    "StoreWriter",
+    "rebase_offsets",
+]
 
 _MANIFEST = "manifest.json"
 _CURRENT = "CURRENT"
 _GEN_PREFIX = "gen-"
+#: Column files of one view, by part: format 2 writes "sorted", format 3
+#: "sparse" and "dense".
+_PARTS = {
+    "sorted": (".keys.npy", ".measure.npy"),
+    "sparse": (".sparse.keys.npy", ".sparse.measure.npy"),
+    "dense": (".dense.values.npy", ".dense.mask.npy"),
+}
 
 
 def _gen_name(generation: int) -> str:
     return f"{_GEN_PREFIX}{generation:06d}"
-
-
-def _view_file(view: View) -> str:
-    return "v_" + ("_".join(str(i) for i in view) if view else "all") + ".npz"
 
 
 def _view_stem(view: View) -> str:
@@ -121,8 +124,201 @@ def _zero_metrics(total_rows: int, view_count: int) -> RunResult:
     )
 
 
+def rebase_offsets(
+    old: SortedView | HybridView,
+    old_offsets: Sequence,
+    nrows: int,
+    locate: Callable[[int], int],
+) -> list[int]:
+    """Rank offsets for a view after a merge grew ``old`` to ``nrows``.
+
+    Keeps the old rank boundary *keys*, so the reconstructed distributed
+    cube keeps its key-range partitioning: delta rows land in the rank
+    that owns their range.  ``locate(key)`` counts the merged view's
+    rows with keys below ``key``.
+    """
+    offsets = [0]
+    for o in old_offsets[1:-1]:
+        o = int(o)
+        if o >= old.nrows:
+            offsets.append(int(nrows))
+        else:
+            offsets.append(int(locate(int(old.read(o, o + 1)[0][0]))))
+    offsets.append(int(nrows))
+    return offsets
+
+
+class StoreWriter:
+    """Writes the view files and manifest of one store directory.
+
+    Each ``write_*`` method writes one view's columns and returns its
+    manifest entry; :meth:`link` reuses a view's files from another
+    store instead.  ``written`` and ``linked`` count files.
+    """
+
+    def __init__(self, path: str, fence_stride: int):
+        self.path = path
+        self.stride = int(fence_stride)
+        self.written = 0
+        self.linked = 0
+        os.makedirs(path, exist_ok=True)
+
+    @staticmethod
+    def _file(store_dir: str, view: View, suffix: str) -> str:
+        return os.path.join(store_dir, "views", _view_stem(view) + suffix)
+
+    def _write(self, view: View, suffix: str, arr: np.ndarray) -> None:
+        write_npy(self._file(self.path, view, suffix), arr)
+        self.written += 1
+
+    def link(
+        self, src_dir: str, view: View, parts: Sequence[str] = tuple(_PARTS)
+    ) -> None:
+        """Hard-link the files of ``parts`` that the store at
+        ``src_dir`` holds for ``view`` (copy where linking fails)."""
+        for part in parts:
+            for suffix in _PARTS[part]:
+                src = self._file(src_dir, view, suffix)
+                if not os.path.exists(src):
+                    continue
+                dst = self._file(self.path, view, suffix)
+                os.makedirs(os.path.dirname(dst), exist_ok=True)
+                try:
+                    os.link(src, dst)
+                except OSError:
+                    shutil.copy2(src, dst)
+                self.linked += 1
+
+    def write_sorted(
+        self,
+        view: View,
+        order: Sequence[int],
+        keys: np.ndarray,
+        measure: np.ndarray,
+        offsets: Sequence,
+    ) -> dict:
+        """Write one format-2 view: a sorted key/measure column pair."""
+        self._write(view, ".keys.npy", keys)
+        self._write(view, ".measure.npy", measure)
+        return {
+            "dims": list(view),
+            "name": view_name(view),
+            "rows": int(keys.shape[0]),
+            "layout": "sorted",
+            "order": list(order),
+            "rank_offsets": [int(o) for o in offsets],
+            "fence": FenceIndex.build(keys, self.stride).to_manifest(),
+        }
+
+    def write_hybrid(
+        self,
+        view: View,
+        order: Sequence[int],
+        layout: HybridLayout,
+        offsets: Sequence,
+        keep: Sequence[str] = (),
+        src_dir: str | None = None,
+    ) -> dict:
+        """Write one format-3 view: sparse residue + dense blocks.
+
+        The parts named in ``keep`` ("sparse", "dense") are unchanged
+        since the store at ``src_dir`` and are linked from it instead.
+        """
+        if keep:
+            self.link(src_dir, view, keep)
+        if "sparse" not in keep:
+            self._write(view, ".sparse.keys.npy", layout.sparse_keys)
+            self._write(view, ".sparse.measure.npy", layout.sparse_measure)
+        if "dense" not in keep:
+            # Mask/values files are omitted when no block needs them.
+            if layout.dense_values.size:
+                self._write(view, ".dense.values.npy", layout.dense_values)
+            if layout.dense_mask.size:
+                self._write(view, ".dense.mask.npy", layout.dense_mask)
+        return {
+            "dims": list(view),
+            "name": view_name(view),
+            "rows": int(layout.nrows),
+            "layout": "hybrid",
+            "order": list(order),
+            "rank_offsets": [int(o) for o in offsets],
+            "capacity": int(layout.capacity),
+            "sparse_rows": layout.n_sparse_rows,
+            "dense": [
+                [
+                    int(layout.dense_blocks[i]),
+                    int(layout.dense_rows[i]),
+                    int(layout.dense_full[i]),
+                    int(layout.sparse_before[i]),
+                ]
+                for i in range(layout.dense_blocks.shape[0])
+            ],
+            "fence": FenceIndex.build(
+                layout.sparse_keys, self.stride
+            ).to_manifest(),
+        }
+
+    def write_manifest(self, manifest: dict) -> None:
+        with open(os.path.join(self.path, _MANIFEST), "w") as fh:
+            json.dump(manifest, fh, indent=1)
+        self.written += 1
+
+
+class GenerationWriter(StoreWriter):
+    """Stages the generation after ``src`` in a temp directory.
+
+    Use as a context manager: :meth:`commit` publishes the staged
+    generation; leaving the block with an exception removes the temp
+    directory and leaves ``CURRENT`` untouched.
+    """
+
+    def __init__(self, src: "OpenCube"):
+        self.root = src.root
+        self.parent = src.generation
+        self.generation = src.generation + 1
+        self.base_manifest = src.manifest
+        name = _gen_name(self.generation)
+        #: Where :meth:`commit` publishes the generation.
+        self.final_path = os.path.join(self.root, name)
+        tmp = os.path.join(self.root, f".{name}.tmp-{os.getpid()}")
+        if os.path.exists(tmp):
+            shutil.rmtree(tmp)
+        super().__init__(
+            tmp, src.manifest.get("fence_stride") or DEFAULT_STRIDE
+        )
+
+    def __enter__(self) -> "GenerationWriter":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            shutil.rmtree(self.path, ignore_errors=True)
+
+    def commit(
+        self, views: list[dict], delta_rows: int, gc: bool = False
+    ) -> None:
+        """Write the manifest, publish the directory, swap ``CURRENT``.
+
+        ``gc=True`` then deletes superseded generations.
+        """
+        manifest = {
+            k: v for k, v in self.base_manifest.items() if k != "views"
+        }
+        manifest["views"] = views
+        manifest["generation"] = self.generation
+        manifest["parent"] = self.parent
+        manifest["refresh"] = {"delta_rows": int(delta_rows)}
+        self.write_manifest(manifest)
+        if os.path.exists(self.final_path):
+            shutil.rmtree(self.final_path)  # orphan of a crashed refresh
+        os.rename(self.path, self.final_path)
+        CubeStore.set_current(self.root, self.generation)
+        if gc:
+            CubeStore.gc_generations(self.root)
+
+
 class CubeStore:
-    """Directory-backed cube persistence (formats 1, 2 and 3)."""
+    """Directory-backed cube persistence (formats 2 and 3)."""
 
     @staticmethod
     def save(
@@ -137,227 +333,61 @@ class CubeStore:
         """Write ``cube`` under ``path`` (created if needed).
 
         ``reorder`` records the attribute-value permutations the cube
-        was built under (any format); ``block_cells`` and
-        ``density_threshold`` tune the format-3 hybrid layout.
+        was built under; ``block_cells`` and ``density_threshold`` tune
+        the format-3 hybrid layout.  Raises ``ValueError`` when a view's
+        rank pieces are not one sorted column in rank order, or when
+        ``path`` is a generational root (refresh those instead).
         """
-        if format == 1:
-            return CubeStore._save_v1(cube, path, reorder)
-        if format == 2:
-            return CubeStore._save_v2(cube, path, fence_stride, reorder)
-        if format == 3:
-            return CubeStore._save_v3(
-                cube, path, fence_stride, reorder,
-                block_cells, density_threshold,
+        if format not in (2, 3):
+            raise ValueError(f"unknown cube store format: {format!r}")
+        if os.path.exists(os.path.join(path, _CURRENT)):
+            raise ValueError(
+                f"{path} holds store generations (CURRENT exists); a "
+                "flat save there would never be served"
             )
-        raise ValueError(f"unknown cube store format: {format!r}")
-
-    @staticmethod
-    def _write_manifest(
-        path: str, manifest: dict, reorder: ValueReorder | None
-    ) -> None:
-        if reorder is not None and not reorder.is_identity:
-            manifest["reorder"] = reorder.to_manifest()
-        with open(os.path.join(path, _MANIFEST), "w") as fh:
-            json.dump(manifest, fh, indent=1)
-
-    @staticmethod
-    def _save_v1(
-        cube: CubeResult, path: str, reorder: ValueReorder | None = None
-    ) -> str:
-        os.makedirs(path, exist_ok=True)
-        views = cube.views
-        manifest = {
-            "format": 1,
-            "cardinalities": list(cube.cardinalities),
-            "agg": cube.agg,
-            "p": len(cube.rank_views),
-            "views": [
-                {
-                    "dims": list(view),
-                    "name": view_name(view),
-                    "rows": cube.view_rows(view),
-                    "orders": [
-                        list(rank_views[view].order)
-                        for rank_views in cube.rank_views
-                    ],
-                }
-                for view in views
-            ],
-        }
-        CubeStore._write_manifest(path, manifest, reorder)
-        for rank, rank_views in enumerate(cube.rank_views):
-            rank_dir = os.path.join(path, f"rank{rank:02d}")
-            os.makedirs(rank_dir, exist_ok=True)
-            for view in views:
-                data = rank_views[view]
-                np.savez(
-                    os.path.join(rank_dir, _view_file(view)),
-                    keys=data.keys,
-                    measure=data.measure,
-                )
-        return path
-
-    @staticmethod
-    def _save_v2(
-        cube: CubeResult,
-        path: str,
-        fence_stride: int | None,
-        reorder: ValueReorder | None = None,
-    ) -> str:
-        os.makedirs(path, exist_ok=True)
-        stride = int(fence_stride or DEFAULT_STRIDE)
-        views_dir = os.path.join(path, "views")
+        out = StoreWriter(path, fence_stride or DEFAULT_STRIDE)
+        bc = int(block_cells or DEFAULT_BLOCK_CELLS)
         entries = []
         for view in cube.views:
             pieces = [rv[view] for rv in cube.rank_views]
-            orders = {piece.order for piece in pieces}
+            order = pieces[0].order
             keys = np.concatenate([piece.keys for piece in pieces])
-            entry = {
-                "dims": list(view),
-                "name": view_name(view),
-                "rows": int(keys.shape[0]),
-            }
-            if len(orders) == 1 and is_sorted_int64(keys):
-                # The serving layout: one sorted column pair per view,
-                # rank pieces recoverable as offset slices.
-                order = pieces[0].order
-                measure = np.concatenate(
-                    [piece.measure for piece in pieces]
+            if any(piece.order != order for piece in pieces) or not (
+                is_sorted_int64(keys)
+            ):
+                raise ValueError(
+                    f"view {view_name(view)}: rank pieces in orders "
+                    f"{[piece.order for piece in pieces]} do not "
+                    "concatenate into one sorted column"
                 )
-                offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
-                np.cumsum(
-                    [piece.nrows for piece in pieces], out=offsets[1:]
-                )
-                stem = os.path.join(views_dir, _view_stem(view))
-                write_npy(stem + ".keys.npy", keys)
-                write_npy(stem + ".measure.npy", measure)
-                entry.update(
-                    layout="sorted",
-                    order=list(order),
-                    rank_offsets=[int(o) for o in offsets],
-                    fence=FenceIndex.build(keys, stride).to_manifest(),
+            measure = np.concatenate([piece.measure for piece in pieces])
+            offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
+            np.cumsum([piece.nrows for piece in pieces], out=offsets[1:])
+            if format == 2:
+                entries.append(
+                    out.write_sorted(view, order, keys, measure, offsets)
                 )
             else:
-                # Degenerate cube (mixed orders or unsorted global
-                # concatenation): keep the faithful per-rank layout;
-                # this view serves through the scan path.
-                entry.update(
-                    layout="ranked",
-                    orders=[list(piece.order) for piece in pieces],
-                )
-                for rank, piece in enumerate(pieces):
-                    rank_dir = os.path.join(path, f"rank{rank:02d}")
-                    os.makedirs(rank_dir, exist_ok=True)
-                    np.savez(
-                        os.path.join(rank_dir, _view_file(view)),
-                        keys=piece.keys,
-                        measure=piece.measure,
-                    )
-            entries.append(entry)
-        manifest = {
-            "format": 2,
-            "cardinalities": list(cube.cardinalities),
-            "agg": cube.agg,
-            "p": len(cube.rank_views),
-            "fence_stride": stride,
-            "views": entries,
-        }
-        CubeStore._write_manifest(path, manifest, reorder)
-        return path
-
-    @staticmethod
-    def _save_v3(
-        cube: CubeResult,
-        path: str,
-        fence_stride: int | None,
-        reorder: ValueReorder | None,
-        block_cells: int | None,
-        density_threshold: float | None,
-    ) -> str:
-        os.makedirs(path, exist_ok=True)
-        stride = int(fence_stride or DEFAULT_STRIDE)
-        bc = int(block_cells or DEFAULT_BLOCK_CELLS)
-        views_dir = os.path.join(path, "views")
-        cards = cube.cardinalities
-        entries = []
-        for view in cube.views:
-            pieces = [rv[view] for rv in cube.rank_views]
-            orders = {piece.order for piece in pieces}
-            keys = np.concatenate([piece.keys for piece in pieces])
-            entry = {
-                "dims": list(view),
-                "name": view_name(view),
-                "rows": int(keys.shape[0]),
-            }
-            if len(orders) == 1 and is_sorted_int64(keys):
-                order = pieces[0].order
-                measure = np.concatenate(
-                    [piece.measure for piece in pieces]
-                )
-                offsets = np.zeros(len(pieces) + 1, dtype=np.int64)
-                np.cumsum(
-                    [piece.nrows for piece in pieces], out=offsets[1:]
-                )
-                capacity = int(codec_for_order(order, cards).capacity)
+                capacity = codec_for_order(order, cube.cardinalities).capacity
                 layout = build_hybrid(
-                    keys, measure, capacity,
+                    keys, measure, int(capacity),
                     block_cells=bc, threshold=density_threshold,
                 )
-                stem = os.path.join(views_dir, _view_stem(view))
-                write_npy(stem + ".sparse.keys.npy", layout.sparse_keys)
-                write_npy(
-                    stem + ".sparse.measure.npy", layout.sparse_measure
-                )
-                if layout.dense_values.size:
-                    write_npy(
-                        stem + ".dense.values.npy", layout.dense_values
-                    )
-                if layout.dense_mask.size:
-                    write_npy(stem + ".dense.mask.npy", layout.dense_mask)
-                entry.update(
-                    layout="hybrid",
-                    order=list(order),
-                    rank_offsets=[int(o) for o in offsets],
-                    capacity=capacity,
-                    sparse_rows=layout.n_sparse_rows,
-                    dense=[
-                        [
-                            int(layout.dense_blocks[i]),
-                            int(layout.dense_rows[i]),
-                            int(layout.dense_full[i]),
-                            int(layout.sparse_before[i]),
-                        ]
-                        for i in range(layout.dense_blocks.shape[0])
-                    ],
-                    fence=FenceIndex.build(
-                        layout.sparse_keys, stride
-                    ).to_manifest(),
-                )
-            else:
-                entry.update(
-                    layout="ranked",
-                    orders=[list(piece.order) for piece in pieces],
-                )
-                for rank, piece in enumerate(pieces):
-                    rank_dir = os.path.join(path, f"rank{rank:02d}")
-                    os.makedirs(rank_dir, exist_ok=True)
-                    np.savez(
-                        os.path.join(rank_dir, _view_file(view)),
-                        keys=piece.keys,
-                        measure=piece.measure,
-                    )
-            entries.append(entry)
+                entries.append(out.write_hybrid(view, order, layout, offsets))
         manifest = {
-            "format": 3,
-            "cardinalities": list(cards),
+            "format": int(format),
+            "cardinalities": list(cube.cardinalities),
             "agg": cube.agg,
             "p": len(cube.rank_views),
-            "fence_stride": stride,
-            "block_cells": bc,
-            "density_threshold": density_threshold,
-            "views": entries,
+            "fence_stride": out.stride,
         }
-        CubeStore._write_manifest(path, manifest, reorder)
+        if format == 3:
+            manifest["block_cells"] = bc
+            manifest["density_threshold"] = density_threshold
+        manifest["views"] = entries
+        if reorder is not None and not reorder.is_identity:
+            manifest["reorder"] = reorder.to_manifest()
+        out.write_manifest(manifest)
         return path
 
     # -- reading -----------------------------------------------------------
@@ -369,7 +399,7 @@ class CubeStore:
             raise FileNotFoundError(f"no cube manifest at {manifest_path}")
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        if manifest.get("format") not in (1, 2, 3):
+        if manifest.get("format") not in (2, 3):
             raise ValueError(
                 f"unsupported cube store format: {manifest.get('format')!r}"
             )
@@ -379,9 +409,9 @@ class CubeStore:
     def load(path: str, generation: int | None = None) -> CubeResult:
         """Reopen a saved cube as a :class:`CubeResult`.
 
-        Format-2 pieces are zero-copy slices of the memory-mapped view
-        columns — the distributed layout (per-rank rows and orders) is
-        exactly what was saved, for either format.
+        The distributed layout (per-rank rows and orders) is exactly
+        what was saved; format-2 pieces are zero-copy slices of the
+        memory-mapped view columns.
         """
         return CubeStore.open(path, generation=generation).cube
 
@@ -519,15 +549,17 @@ class CubeStore:
         return removed
 
 
+
+
 class OpenCube:
     """A read-only handle on one stored cube.
 
-    * :attr:`cube` — the faithful distributed :class:`CubeResult`
-      (formats 2/3: mmap-backed; format 1: eager ``.npz`` loads).
-    * :attr:`sorted_views` — per-view serving handles
-      (:class:`SortedView` for format-2 ``sorted`` layouts,
+    * :attr:`cube` — the faithful distributed :class:`CubeResult`,
+      backed by the memory-mapped view columns.
+    * :attr:`sorted_views` — per-view serving handles:
+      :class:`SortedView` for format-2 ``sorted`` views,
       :class:`~repro.olap.hybrid.HybridView` for format-3 ``hybrid``
-      layouts; empty for format 1).
+      views.
     * :attr:`reorder` — the attribute-value permutations the cube was
       built under, or ``None`` (original labels).
     * :attr:`meter` — mmap read accounting shared by every column.
@@ -564,21 +596,20 @@ class OpenCube:
 
     # -- sorted serving views ---------------------------------------------
 
+    def _column(self, view: View, suffix: str, dtype=None):
+        """One mmap'd view column; with ``dtype``, an empty array of
+        that type when the file was omitted."""
+        path = StoreWriter._file(self.path, view, suffix)
+        if dtype is not None and not os.path.exists(path):
+            return np.empty(0, dtype=dtype)
+        return MappedColumn(path, self.meter)
+
     def _hybrid_view(self, entry: dict, view: View) -> HybridView:
-        stem = os.path.join(self.path, "views", _view_stem(view))
         dense = entry.get("dense") or []
         cols = np.asarray(dense, dtype=np.int64).reshape(len(dense), 4)
         # Mask/values files are omitted when no block needs them.
-        values = (
-            MappedColumn(stem + ".dense.values.npy", self.meter)
-            if os.path.exists(stem + ".dense.values.npy")
-            else np.empty(0, dtype=np.float64)
-        )
-        mask = (
-            MappedColumn(stem + ".dense.mask.npy", self.meter)
-            if os.path.exists(stem + ".dense.mask.npy")
-            else np.empty(0, dtype=np.uint8)
-        )
+        values = self._column(view, ".dense.values.npy", np.float64)
+        mask = self._column(view, ".dense.mask.npy", np.uint8)
         return HybridView(
             tuple(entry["order"]),
             block_cells=self.block_cells,
@@ -590,40 +621,39 @@ class OpenCube:
             sparse_before=cols[:, 3],
             values=values,
             mask=mask,
-            sparse_keys=MappedColumn(stem + ".sparse.keys.npy", self.meter),
-            sparse_measure=MappedColumn(
-                stem + ".sparse.measure.npy", self.meter
-            ),
+            sparse_keys=self._column(view, ".sparse.keys.npy"),
+            sparse_measure=self._column(view, ".sparse.measure.npy"),
             fence=FenceIndex.from_manifest(entry["fence"]),
         )
 
     @property
     def sorted_views(self) -> dict[View, SortedView | HybridView]:
         if self._sorted is None:
-            self._sorted = {}
-            if self.format in (2, 3):
-                for entry in self.manifest["views"]:
-                    layout = entry.get("layout")
-                    view = canonical_view(entry["dims"])
-                    if layout == "sorted":
-                        stem = os.path.join(
-                            self.path, "views", _view_stem(view)
-                        )
-                        self._sorted[view] = SortedView(
-                            tuple(entry["order"]),
-                            MappedColumn(stem + ".keys.npy", self.meter),
-                            MappedColumn(
-                                stem + ".measure.npy", self.meter
-                            ),
-                            FenceIndex.from_manifest(entry["fence"]),
-                        )
-                    elif layout == "hybrid":
-                        self._sorted[view] = self._hybrid_view(entry, view)
+            views: dict[View, SortedView | HybridView] = {}
+            for entry in self.manifest["views"]:
+                layout = entry.get("layout")
+                view = canonical_view(entry["dims"])
+                if layout == "sorted":
+                    views[view] = SortedView(
+                        tuple(entry["order"]),
+                        self._column(view, ".keys.npy"),
+                        self._column(view, ".measure.npy"),
+                        FenceIndex.from_manifest(entry["fence"]),
+                    )
+                elif layout == "hybrid":
+                    views[view] = self._hybrid_view(entry, view)
+                else:
+                    raise ValueError(
+                        f"view {entry['name']}: unsupported layout "
+                        f"{layout!r}"
+                    )
+            self._sorted = views
         return self._sorted
 
     def view_index(self, view: View) -> FenceIndex | None:
-        """The manifest-persisted fence index of one view (or ``None``
-        when the view is stored ranked / format 1)."""
+        """The manifest-persisted fence index of one view (for a hybrid
+        view it covers the sparse residue), or ``None`` when the store
+        does not hold ``view``."""
         sv = self.sorted_views.get(canonical_view(view))
         return sv.fence if sv is not None else None
 
@@ -632,80 +662,31 @@ class OpenCube:
     @property
     def cube(self) -> CubeResult:
         if self._cube is None:
-            self._cube = (
-                self._load_v1() if self.format == 1 else self._load_v23()
-            )
+            self._cube = self._load()
         return self._cube
 
-    def _load_v1(self) -> CubeResult:
+    def _load(self) -> CubeResult:
         manifest = self.manifest
-        p = self.p
-        rank_views: list[dict[View, ViewData]] = [dict() for _ in range(p)]
+        rank_views: list[dict[View, ViewData]] = [
+            dict() for _ in range(self.p)
+        ]
         total_rows = 0
         for entry in manifest["views"]:
             view = canonical_view(entry["dims"])
             total_rows += int(entry["rows"])
-            for rank in range(p):
-                file_path = os.path.join(
-                    self.path, f"rank{rank:02d}", _view_file(view)
-                )
-                with np.load(file_path) as npz:
-                    data = ViewData(
-                        tuple(entry["orders"][rank]),
-                        npz["keys"],
-                        npz["measure"],
-                    )
-                rank_views[rank][view] = data
-        return CubeResult(
-            rank_views=rank_views,
-            cardinalities=self.cardinalities,
-            metrics=_zero_metrics(total_rows, len(manifest["views"])),
-            agg=self.agg,
-        )
-
-    def _load_v23(self) -> CubeResult:
-        manifest = self.manifest
-        p = self.p
-        rank_views: list[dict[View, ViewData]] = [dict() for _ in range(p)]
-        total_rows = 0
-        for entry in manifest["views"]:
-            view = canonical_view(entry["dims"])
-            total_rows += int(entry["rows"])
-            layout = entry.get("layout")
-            if layout == "sorted":
-                sv = self.sorted_views[view]
-                keys = sv._keys.array  # the shared mapping
-                measure = sv._measure.array
-                offsets = entry["rank_offsets"]
-                order = tuple(entry["order"])
-                for rank in range(p):
-                    lo, hi = int(offsets[rank]), int(offsets[rank + 1])
-                    rank_views[rank][view] = ViewData(
-                        order, keys[lo:hi], measure[lo:hi]
-                    )
-            elif layout == "hybrid":
-                # Re-expand the blocks into the full sorted columns;
-                # rank pieces are offset slices exactly as for format 2.
-                hv = self.sorted_views[view]
-                keys, measure = hv.read(0, hv.nrows)
-                offsets = entry["rank_offsets"]
-                order = tuple(entry["order"])
-                for rank in range(p):
-                    lo, hi = int(offsets[rank]), int(offsets[rank + 1])
-                    rank_views[rank][view] = ViewData(
-                        order, keys[lo:hi], measure[lo:hi]
-                    )
+            sv = self.sorted_views[view]
+            if isinstance(sv, SortedView):
+                # Slices of the shared mapping: no copy.
+                keys, measure = sv._keys.array, sv._measure.array
             else:
-                for rank in range(p):
-                    file_path = os.path.join(
-                        self.path, f"rank{rank:02d}", _view_file(view)
-                    )
-                    with np.load(file_path) as npz:
-                        rank_views[rank][view] = ViewData(
-                            tuple(entry["orders"][rank]),
-                            npz["keys"],
-                            npz["measure"],
-                        )
+                keys, measure = sv.read(0, sv.nrows)
+            offsets = entry["rank_offsets"]
+            order = tuple(entry["order"])
+            for rank in range(self.p):
+                lo, hi = int(offsets[rank]), int(offsets[rank + 1])
+                rank_views[rank][view] = ViewData(
+                    order, keys[lo:hi], measure[lo:hi]
+                )
         return CubeResult(
             rank_views=rank_views,
             cardinalities=self.cardinalities,
@@ -716,8 +697,8 @@ class OpenCube:
     # -- convenience -------------------------------------------------------
 
     def query_engine(self, index: bool = True):
-        """A query engine over this store (index-accelerated where
-        sorted/hybrid views exist).
+        """A query engine over this store, index-accelerated unless
+        ``index=False``.
 
         When the manifest records an attribute-value reorder the engine
         is wrapped in a :class:`~repro.olap.query.ReorderedQueryEngine`,

@@ -1,6 +1,7 @@
 """Tests for on-disk incremental refresh: delta-merge generations
 (refresh_store), the atomic CURRENT swap, and refresh-aware serving."""
 
+import errno
 import json
 import os
 import time
@@ -72,7 +73,7 @@ def assert_same_answers(path_a, path_b, queries=QUERIES):
 
 
 class TestRefreshStoreFormats:
-    @pytest.mark.parametrize("fmt", [1, 2, 3])
+    @pytest.mark.parametrize("fmt", [2, 3])
     def test_matches_full_rebuild(self, tmp_path, fmt):
         rel = int_relation(4000, seed=50 + fmt)
         first, extra = split(rel, 3200)
@@ -234,6 +235,48 @@ class TestGenerationMechanics:
         store = save_store(rel, tmp_path / "live")
         with pytest.raises(ValueError):
             CubeStore.set_current(store, 0)
+
+    def test_save_into_generational_root_rejected(self, tmp_path):
+        rel = int_relation(1000, seed=66)
+        first, extra = split(rel, 700)
+        store = save_store(first, tmp_path / "live")
+        refresh_store(store, extra, spec=SPEC)
+        other = build_data_cube(int_relation(500, seed=67), CARDS, SPEC)
+        # A flat save next to CURRENT would never be opened: refuse it.
+        with pytest.raises(ValueError, match="CURRENT"):
+            CubeStore.save(other, store)
+        total = CubeStore.open(store).query_engine().answer(Query(()))
+        assert total.measure[0] == rel.measure.sum()
+
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_failed_refresh_leaves_no_staged_directory(
+        self, tmp_path, monkeypatch, fmt
+    ):
+        rel = int_relation(2000, seed=68)
+        first, extra = split(rel, 1600)
+        store = save_store(first, tmp_path / "live", format=fmt)
+        before = sorted(os.listdir(store))
+        real_save = np.save
+        writes = []
+
+        def full_disk(path, arr, *args, **kwargs):
+            writes.append(path)
+            if len(writes) == 3:
+                raise OSError(errno.ENOSPC, "No space left on device", path)
+            return real_save(path, arr, *args, **kwargs)
+
+        monkeypatch.setattr(np, "save", full_disk)
+        with pytest.raises(OSError):
+            refresh_store(store, extra, spec=SPEC)
+        monkeypatch.undo()
+        assert len(writes) == 3
+        assert sorted(os.listdir(store)) == before
+        assert CubeStore.current_generation(store) == 0
+        # The store still refreshes cleanly afterwards.
+        assert refresh_store(store, extra, spec=SPEC).generation == 1
+        assert_same_answers(
+            store, save_store(rel, tmp_path / "rebuilt", format=fmt)
+        )
 
 
 class TestRefreshContracts:

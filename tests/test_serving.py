@@ -228,28 +228,34 @@ class TestQueryHashable:
 
 class TestStoreV2:
     def test_formats_answer_identically(self, cube, tmp_path):
-        p1 = CubeStore.save(cube, str(tmp_path / "v1"), format=1)
         p2 = CubeStore.save(cube, str(tmp_path / "v2"))
+        p3 = CubeStore.save(cube, str(tmp_path / "v3"), format=3)
         assert int(CubeStore._read_manifest(p2)["format"]) == 2
-        assert int(CubeStore._read_manifest(p1)["format"]) == 1
+        assert int(CubeStore._read_manifest(p3)["format"]) == 3
         live = QueryEngine(cube, index=False)
-        h1, h2 = CubeStore.open(p1), CubeStore.open(p2)
+        h2, h3 = CubeStore.open(p2), CubeStore.open(p3)
         for query in TestIndexedExecution.QUERIES:
             want = live.answer(query)
-            for handle in (h1, h2):
+            for handle in (h2, h3):
                 got = handle.query_engine().answer(query)
                 assert np.array_equal(want.dims, got.dims)
                 assert np.array_equal(want.measure, got.measure)
 
     def test_view_index_by_format(self, cube, tmp_path):
-        p1 = CubeStore.save(cube, str(tmp_path / "v1"), format=1)
         p2 = CubeStore.save(cube, str(tmp_path / "v2"), fence_stride=64)
-        h1, h2 = CubeStore.open(p1), CubeStore.open(p2)
+        p3 = CubeStore.save(
+            cube, str(tmp_path / "v3"), format=3, fence_stride=64
+        )
+        h2, h3 = CubeStore.open(p2), CubeStore.open(p3)
         view = cube.views[0]
-        assert h1.view_index(view) is None
         fence = h2.view_index(view)
         assert fence is not None and fence.stride == 64
         assert fence.nrows == cube.view_rows(view)
+        # A hybrid view's fence covers only its sparse residue.
+        fence3 = h3.view_index(view)
+        assert fence3 is not None and fence3.stride == 64
+        assert fence3.nrows == h3.sorted_views[view].n_sparse_rows
+        assert h2.view_index((0, 1, 2, 3, 4, 5, 6, 7)) is None
 
     def test_v2_preserves_distribution_and_orders(self, cube, tmp_path):
         path = CubeStore.save(cube, str(tmp_path / "v2"))
@@ -262,27 +268,40 @@ class TestStoreV2:
                 assert np.array_equal(a.keys, b.keys)
                 assert np.array_equal(a.measure, b.measure)
 
-    def test_mixed_order_view_falls_back_to_ranked(self, tmp_path):
-        cards = (4, 4)
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_mixed_order_view_rejected(self, tmp_path, fmt):
         k = np.array([1, 5, 9], dtype=np.int64)
         m = np.ones(3)
-        pieces = [ViewData((0, 1), k, m), ViewData((1, 0), k, m)]
+        pieces = [ViewData((0, 1), k, m), ViewData((1, 0), k + 10, m)]
         cube = CubeResult(
             rank_views=[{(0, 1): pieces[0]}, {(0, 1): pieces[1]}],
-            cardinalities=cards,
+            cardinalities=(4, 4),
             metrics=RunResult(0.0, 0.0, 6, 1, 0, 0),
         )
-        path = CubeStore.save(cube, str(tmp_path / "mixed"))
-        handle = CubeStore.open(path)
-        assert handle.sorted_views == {}
-        assert handle.view_index((0, 1)) is None
-        back = handle.cube
-        assert back.rank_views[1][(0, 1)].order == (1, 0)
-        assert np.array_equal(back.rank_views[0][(0, 1)].keys, k)
+        with pytest.raises(ValueError, match="orders"):
+            CubeStore.save(cube, str(tmp_path / "mixed"), format=fmt)
+        assert not os.path.exists(tmp_path / "mixed" / "manifest.json")
+
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_unsorted_concatenation_rejected(self, tmp_path, fmt):
+        # One order, but rank 1's keys fall below rank 0's: the pieces
+        # are not key-range partitioned.
+        m = np.ones(3)
+        cube = CubeResult(
+            rank_views=[
+                {(0, 1): ViewData((0, 1), np.array([7, 8, 9]), m)},
+                {(0, 1): ViewData((0, 1), np.array([1, 2, 3]), m)},
+            ],
+            cardinalities=(4, 4),
+            metrics=RunResult(0.0, 0.0, 6, 1, 0, 0),
+        )
+        with pytest.raises(ValueError, match="sorted column"):
+            CubeStore.save(cube, str(tmp_path / "unsorted"), format=fmt)
 
     def test_unknown_format_rejected(self, cube, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            CubeStore.save(cube, str(tmp_path / "x"), format=4)
+        for fmt in (1, 4):  # format 1, the per-rank .npz layout, is gone
+            with pytest.raises(ValueError, match=f"format: {fmt}"):
+                CubeStore.save(cube, str(tmp_path / "x"), format=fmt)
 
     def test_meter_counts_index_reads(self, cube, tmp_path):
         path = CubeStore.save(cube, str(tmp_path / "v2"))

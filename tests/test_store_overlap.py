@@ -6,7 +6,7 @@ import pytest
 from repro.config import CubeConfig, MachineSpec
 from repro.core.cube import build_data_cube
 from repro.core.overlap import analyze_overlap
-from repro.olap import CubeStore, Query, QueryEngine
+from repro.olap import CubeStore, Query, QueryEngine, refresh_cube
 from tests.conftest import make_relation
 
 CARDS = (10, 6, 4)
@@ -82,11 +82,58 @@ class TestCubeStore:
         manifest = os.path.join(path, "manifest.json")
         with open(manifest) as fh:
             data = json.load(fh)
-        data["format"] = 99
-        with open(manifest, "w") as fh:
-            json.dump(data, fh)
-        with pytest.raises(ValueError, match="format"):
-            CubeStore.load(path)
+        # Format 1 (the retired per-rank .npz layout) is no longer read.
+        for fmt in (1, 99):
+            data["format"] = fmt
+            with open(manifest, "w") as fh:
+                json.dump(data, fh)
+            with pytest.raises(ValueError, match=f"format: {fmt}"):
+                CubeStore.load(path)
+            with pytest.raises(ValueError, match=f"format: {fmt}"):
+                CubeStore.open(path)
+
+
+BUILD_MODES = ["thread-p3", "process-p2", "partial", "refreshed"]
+
+
+@pytest.fixture(scope="module", params=BUILD_MODES)
+def any_cube(request):
+    """One cube per shipped build mode: every one must satisfy the
+    store's sorted-concatenation check."""
+    rel = make_relation(3000, CARDS, seed=5)
+    if request.param == "thread-p3":
+        return build_data_cube(rel, CARDS, MachineSpec(p=3))
+    if request.param == "process-p2":
+        return build_data_cube(
+            rel, CARDS, MachineSpec(p=2), backend="process"
+        )
+    if request.param == "partial":
+        return build_data_cube(
+            rel, CARDS, MachineSpec(p=3), selected=[(0, 1), (0, 2), (1,), ()]
+        )
+    base = build_data_cube(rel.slice(0, 2500), CARDS, MachineSpec(p=3))
+    return refresh_cube(base, rel.slice(2500, 3000))
+
+
+class TestEveryBuildModeSaves:
+    @pytest.mark.parametrize("fmt", [2, 3])
+    def test_roundtrip(self, any_cube, tmp_path, fmt):
+        path = CubeStore.save(any_cube, str(tmp_path / "c"), format=fmt)
+        back = CubeStore.load(path)
+        assert back.views == any_cube.views
+        for view in any_cube.views:
+            for rank, rank_views in enumerate(any_cube.rank_views):
+                a, b = rank_views[view], back.rank_views[rank][view]
+                assert a.order == b.order
+                assert np.array_equal(a.keys, b.keys)
+                assert np.array_equal(a.measure, b.measure)
+
+    def test_query_from_store(self, any_cube, tmp_path):
+        handle = CubeStore.open(CubeStore.save(any_cube, str(tmp_path / "c")))
+        q = Query(group_by=(1,), filters={0: (0, 4)})
+        assert handle.query_engine().answer(q).same_content(
+            QueryEngine(any_cube).answer(q)
+        )
 
 
 class TestOverlapAnalysis:
